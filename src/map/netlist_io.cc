@@ -42,7 +42,8 @@ std::string VerilogExpr(const Cell& cell) {
       if (!first) out += " & ";
       first = false;
       if (!c.VarPhase(v)) out += "~";
-      out += "p" + std::to_string(v);
+      out += 'p';
+      out += std::to_string(v);
     }
     out += ")";
   }

@@ -1,6 +1,7 @@
 #include "network/network.h"
 
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace sm {
 
@@ -26,7 +27,7 @@ NodeId Network::AddNode(std::vector<NodeId> fanins, Sop function,
   for (NodeId f : fanins) {
     SM_REQUIRE(f < id, "fanins must be previously created nodes (acyclic)");
   }
-  if (name.empty()) name = "n" + std::to_string(id);
+  if (name.empty()) name = IndexedName("n", id);
   SM_REQUIRE(by_name_.find(name) == by_name_.end(),
              "duplicate node name: " << name);
   by_name_.emplace(name, id);

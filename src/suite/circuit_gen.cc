@@ -7,6 +7,7 @@
 #include "network/topo.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -89,7 +90,7 @@ Network GenerateCircuit(const CircuitSpec& spec) {
   std::vector<NodeId> inputs;
   inputs.reserve(static_cast<std::size_t>(spec.num_inputs));
   for (int i = 0; i < spec.num_inputs; ++i) {
-    inputs.push_back(net.AddInput("pi" + std::to_string(i)));
+    inputs.push_back(net.AddInput(IndexedName("pi", i)));
   }
 
   // --- slice the inputs -------------------------------------------------
@@ -264,7 +265,7 @@ Network GenerateCircuit(const CircuitSpec& spec) {
   }
   rng.Shuffle(drivers);
   for (int o = 0; o < spec.num_outputs; ++o) {
-    net.AddOutput("po" + std::to_string(o),
+    net.AddOutput(IndexedName("po", o),
                   drivers[static_cast<std::size_t>(o)]);
   }
 

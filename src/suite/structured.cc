@@ -2,6 +2,7 @@
 
 #include "network/structural.h"
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace sm {
 
@@ -45,14 +46,14 @@ MappedNetlist Comparator2Mapped(const Library& lib) {
 
 Network RippleComparatorNetwork(int bits) {
   SM_REQUIRE(bits >= 1, "comparator needs at least one bit");
-  Network net("ripple_cmp" + std::to_string(bits));
+  Network net(IndexedName("ripple_cmp", bits));
   std::vector<NodeId> a(static_cast<std::size_t>(bits));
   std::vector<NodeId> b(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    a[static_cast<std::size_t>(i)] = net.AddInput("a" + std::to_string(i));
+    a[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("a", i));
   }
   for (int i = 0; i < bits; ++i) {
-    b[static_cast<std::size_t>(i)] = net.AddInput("b" + std::to_string(i));
+    b[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("b", i));
   }
   NodeId res = net.AddNode({}, Sop::Const1(0), "res_init");
   // Process LSB first; the bit handled last (the MSB) takes priority.
@@ -72,14 +73,14 @@ Network RippleComparatorNetwork(int bits) {
 
 Network RippleCarryAdderNetwork(int bits) {
   SM_REQUIRE(bits >= 1, "adder needs at least one bit");
-  Network net("rca" + std::to_string(bits));
+  Network net(IndexedName("rca", bits));
   std::vector<NodeId> a(static_cast<std::size_t>(bits));
   std::vector<NodeId> b(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    a[static_cast<std::size_t>(i)] = net.AddInput("a" + std::to_string(i));
+    a[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("a", i));
   }
   for (int i = 0; i < bits; ++i) {
-    b[static_cast<std::size_t>(i)] = net.AddInput("b" + std::to_string(i));
+    b[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("b", i));
   }
   NodeId carry = net.AddInput("cin");
   std::vector<NodeId> sums;
@@ -96,7 +97,7 @@ Network RippleCarryAdderNetwork(int bits) {
     sums.push_back(sum);
   }
   for (int i = 0; i < bits; ++i) {
-    net.AddOutput("s" + std::to_string(i), sums[static_cast<std::size_t>(i)]);
+    net.AddOutput(IndexedName("s", i), sums[static_cast<std::size_t>(i)]);
   }
   net.AddOutput("cout", carry);
   return net;
@@ -104,14 +105,14 @@ Network RippleCarryAdderNetwork(int bits) {
 
 Network MiniAluNetwork(int bits) {
   SM_REQUIRE(bits >= 1, "ALU needs at least one bit");
-  Network net("alu" + std::to_string(bits));
+  Network net(IndexedName("alu", bits));
   std::vector<NodeId> a(static_cast<std::size_t>(bits));
   std::vector<NodeId> b(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    a[static_cast<std::size_t>(i)] = net.AddInput("a" + std::to_string(i));
+    a[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("a", i));
   }
   for (int i = 0; i < bits; ++i) {
-    b[static_cast<std::size_t>(i)] = net.AddInput("b" + std::to_string(i));
+    b[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("b", i));
   }
   const NodeId op0 = net.AddInput("op0");
   const NodeId op1 = net.AddInput("op1");

@@ -45,6 +45,12 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+std::string IndexedName(std::string_view prefix, long long index) {
+  std::string out(prefix);
+  out += std::to_string(index);
+  return out;
+}
+
 std::string FormatCount(double value) {
   char buf[48];
   if (value == 0.0) return "0";

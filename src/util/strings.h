@@ -18,6 +18,11 @@ std::string Trim(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+// `prefix` followed by the decimal `index`, e.g. IndexedName("pi", 3) is
+// "pi3". Builds by appending: GCC 12 reports a false -Wrestrict on the
+// equivalent `"pi" + std::to_string(3)` once inlined.
+std::string IndexedName(std::string_view prefix, long long index);
+
 // "1.23e+45" style compact scientific formatting for huge pattern counts.
 std::string FormatCount(double value);
 

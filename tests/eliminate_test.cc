@@ -6,6 +6,7 @@
 #include "network/topo.h"
 #include "suite/structured.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -14,11 +15,11 @@ TEST(Eliminate, FlattensShallowChains) {
   // A chain of five 2-input nodes over 6 inputs collapses into one node.
   Network net("chain");
   std::vector<NodeId> in;
-  for (int i = 0; i < 6; ++i) in.push_back(net.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) in.push_back(net.AddInput(IndexedName("i", i)));
   NodeId acc = AddAnd(net, {in[0], in[1]}, "n0");
   for (int i = 2; i < 6; ++i) {
     acc = AddOr(net, {acc, in[static_cast<std::size_t>(i)]},
-                "n" + std::to_string(i - 1));
+                IndexedName("n", i - 1));
   }
   net.AddOutput("y", acc);
   const Network flat = EliminateNodes(net);
@@ -32,16 +33,16 @@ TEST(Eliminate, RespectsMaxWidth) {
   // 20-input node; with max_width 12 intermediate nodes must remain.
   Network net("wide");
   std::vector<NodeId> in;
-  for (int i = 0; i < 20; ++i) in.push_back(net.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 20; ++i) in.push_back(net.AddInput(IndexedName("i", i)));
   std::vector<NodeId> layer;
   for (int i = 0; i < 20; i += 2) {
     layer.push_back(AddOr(net, {in[static_cast<std::size_t>(i)],
                                 in[static_cast<std::size_t>(i + 1)]},
-                          "p" + std::to_string(i / 2)));
+                          IndexedName("p", i / 2)));
   }
   NodeId acc = layer[0];
   for (std::size_t i = 1; i < layer.size(); ++i) {
-    acc = AddOr(net, {acc, layer[i]}, "q" + std::to_string(i));
+    acc = AddOr(net, {acc, layer[i]}, IndexedName("q", i));
   }
   net.AddOutput("y", acc);
   EliminateOptions options;
@@ -63,9 +64,9 @@ TEST(Eliminate, KeepsHighFanoutNodes) {
   const NodeId shared = AddXor2(net, a, b, "shared");
   // `shared` feeds many consumers — above max_fanout it must stay a node.
   for (int i = 0; i < 8; ++i) {
-    const NodeId c = net.AddInput("c" + std::to_string(i));
-    net.AddOutput("y" + std::to_string(i),
-                  AddAnd(net, {shared, c}, "g" + std::to_string(i)));
+    const NodeId c = net.AddInput(IndexedName("c", i));
+    net.AddOutput(IndexedName("y", i),
+                  AddAnd(net, {shared, c}, IndexedName("g", i)));
   }
   EliminateOptions options;
   options.max_fanout = 4;
@@ -77,7 +78,7 @@ TEST(Eliminate, KeepsHighFanoutNodes) {
 TEST(Eliminate, WideOriginalNodesCopiedVerbatim) {
   Network net("verywide");
   std::vector<NodeId> in;
-  for (int i = 0; i < 16; ++i) in.push_back(net.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 16; ++i) in.push_back(net.AddInput(IndexedName("i", i)));
   // One 16-input node, wider than max_width 12.
   Sop f(16);
   for (int i = 0; i < 16; ++i) f.AddCube(Cube::Literal(i, true));
@@ -106,7 +107,7 @@ TEST_P(EliminateRandomTest, PreservesFunctionAndReducesDepth) {
   Rng rng(6000 + static_cast<std::uint64_t>(GetParam()));
   Network net("rand");
   std::vector<NodeId> pool;
-  for (int i = 0; i < 8; ++i) pool.push_back(net.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) pool.push_back(net.AddInput(IndexedName("i", i)));
   for (int g = 0; g < 30; ++g) {
     const int k = static_cast<int>(rng.Range(1, 3));
     std::vector<NodeId> fanins;
@@ -119,7 +120,7 @@ TEST_P(EliminateRandomTest, PreservesFunctionAndReducesDepth) {
     pool.push_back(net.AddNode(fanins, Sop::FromTruthTable(tt)));
   }
   for (int o = 0; o < 3 && o < static_cast<int>(pool.size()); ++o) {
-    net.AddOutput("o" + std::to_string(o),
+    net.AddOutput(IndexedName("o", o),
                   pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   const Network flat = EliminateNodes(net);

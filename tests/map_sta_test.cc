@@ -3,12 +3,17 @@
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/mapped_netlist.h"
+#include "map/netlist_io.h"
 #include "map/tech_map.h"
+#include "network/decompose.h"
 #include "network/global_bdd.h"
 #include "network/structural.h"
 #include "sta/paths.h"
 #include "sta/sta.h"
+#include "suite/paper_suite.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -169,10 +174,10 @@ TEST(Paths, EnumerationLimitSaturates) {
 
 Network RandomNetwork(std::uint64_t seed, int num_inputs, int num_nodes) {
   Rng rng(seed);
-  Network net("rand" + std::to_string(seed));
+  Network net(IndexedName("rand", seed));
   std::vector<NodeId> pool;
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(net.AddInput("i" + std::to_string(i)));
+    pool.push_back(net.AddInput(IndexedName("i", i)));
   }
   for (int g = 0; g < num_nodes; ++g) {
     const int k = static_cast<int>(rng.Range(1, 4));
@@ -187,7 +192,7 @@ Network RandomNetwork(std::uint64_t seed, int num_inputs, int num_nodes) {
   }
   const int outs = std::min<int>(4, static_cast<int>(pool.size()));
   for (int o = 0; o < outs; ++o) {
-    net.AddOutput("o" + std::to_string(o),
+    net.AddOutput(IndexedName("o", o),
                   pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   return net;
@@ -301,6 +306,82 @@ TEST(TechMap, RejectsNonSubjectGraph) {
   net.AddOutput("y", x);
   EXPECT_THROW(TechMap(net, Lsi10kLike()), std::invalid_argument);
   EXPECT_NO_THROW(DecomposeAndMap(net, Lsi10kLike()));
+}
+
+TEST(TechMap, MapsSubjectGraphBufferAsBuffer) {
+  // IsAndInvNetwork admits 1-input buffers beside inverters; the mapper must
+  // take each 1-input node's polarity from its SOP.
+  Network net("buf");
+  const NodeId a = net.AddInput("a");
+  const NodeId b = net.AddInput("b");
+  const TruthTable x = TruthTable::Var(0, 1);
+  const NodeId buf = net.AddNode({a}, Sop::FromTruthTable(x), "buf");
+  const NodeId nb = net.AddNode({b}, Sop::FromTruthTable(~x), "nb");
+  const NodeId g = net.AddNode(
+      {buf, nb},
+      Sop::FromTruthTable(TruthTable::Var(0, 2) & TruthTable::Var(1, 2)), "g");
+  net.AddOutput("y", buf);
+  net.AddOutput("z", g);
+  ASSERT_TRUE(IsAndInvNetwork(net));
+  const Library lib = Lsi10kLike();
+  for (const auto mode :
+       {TechMapOptions::Mode::kArea, TechMapOptions::Mode::kDelay}) {
+    TechMapOptions opts;
+    opts.mode = mode;
+    ExpectMappedEquivalent(net, TechMap(net, lib, opts).netlist);
+  }
+}
+
+// Differential oracle for the mapper's inner loop: the mapped BLIF of every
+// Table-2 circuit, in area and in delay mode, must keep the digest it had
+// under the string-keyed, vector-cut mapper that the allocation-free one
+// replaced.
+TEST(TechMap, Table2NetlistsMatchGoldenDigests) {
+  struct Golden {
+    const char* name;
+    std::uint64_t area;
+    std::uint64_t delay;
+  };
+  const Golden golden[] = {
+      {"i1", 0x0928f6096685e34aull, 0xb30c3d17fb5e6a83ull},
+      {"cmb", 0xab42fcf6c3d0acc6ull, 0x487abc5b227652ceull},
+      {"x2", 0x1dacdec23d2ccd30ull, 0xe7e91c6410735ab5ull},
+      {"cu", 0x316063305535dd28ull, 0xf3215cb725f210f4ull},
+      {"too_large", 0xe06b3266b5465a7aull, 0xf0efe315bb0c816cull},
+      {"k2", 0xb83b8942eea99bcaull, 0x0342b0ebeae5c234ull},
+      {"alu2", 0x1a4968bf70fc2bb6ull, 0xe8b6a19524ef9504ull},
+      {"alu4", 0x936c43eff5a8412bull, 0xcd12e2440daa01b6ull},
+      {"apex4", 0x4d62897593bddc7dull, 0x6c5a21c910be05f3ull},
+      {"apex6", 0xe234d81231d1b4c5ull, 0x161734a0f1b83e25ull},
+      {"frg1", 0xde591cdd1f7ecb1cull, 0x8f5cc4019a3d7447ull},
+      {"C432", 0x5cead37f487591b7ull, 0x2abdef6afaf4c129ull},
+      {"C880", 0x5460424b0a86f8d7ull, 0xc025ea52ce57d70bull},
+      {"C2670", 0x7265421b9d15ee5dull, 0x293fd5961558111aull},
+      {"sparc_ifu_dec", 0x1640594630f69eafull, 0xb5590b9558bfc96eull},
+      {"sparc_ifu_invctl", 0x6abf378e13dc98ddull, 0x889839ce2ffafffaull},
+      {"sparc_ifu_ifqdp", 0xd223dd16a65e7f69ull, 0x8dfd4ca7a5cd91deull},
+      {"sparc_ifu_dcl", 0xe17d6b2ed7c55776ull, 0xa9652376fbd22ebcull},
+      {"lsu_stb_ctl", 0x2b6d76bff44dd8fdull, 0xe682997228fb9c56ull},
+      {"sparc_exu_ecl", 0xc1032873da75c5faull, 0x2e62ea6d5031dfc6ull},
+  };
+  const std::vector<PaperCircuitInfo> infos = Table2Circuits();
+  const std::vector<Network> nets = GenerateCircuits(infos, 1);
+  ASSERT_EQ(nets.size(), std::size(golden));
+  const Library lib = Lsi10kLike();
+  TechMapOptions delay_opts;
+  delay_opts.mode = TechMapOptions::Mode::kDelay;
+  auto digest = [&](const Network& net, const TechMapOptions& opts) {
+    Hasher h;
+    h.AddBytes(WriteMappedBlifString(DecomposeAndMap(net, lib, opts).netlist));
+    return h.Digest();
+  };
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    ASSERT_EQ(infos[i].spec.name, golden[i].name);
+    EXPECT_EQ(digest(nets[i], TechMapOptions{}), golden[i].area)
+        << golden[i].name << " (area mode)";
+    EXPECT_EQ(digest(nets[i], delay_opts), golden[i].delay)
+        << golden[i].name << " (delay mode)";
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "sta/paths.h"
 #include "suite/structured.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -58,14 +59,14 @@ Network StructuredComparator() {
 // seeded with res = 1 (equality means >=). Deep chain — the shape on which
 // the masking circuit's slack advantage is real.
 Network RippleComparator(int bits) {
-  Network net("ripple_cmp" + std::to_string(bits));
+  Network net(IndexedName("ripple_cmp", bits));
   std::vector<NodeId> a(static_cast<std::size_t>(bits));
   std::vector<NodeId> b(static_cast<std::size_t>(bits));
   for (int i = 0; i < bits; ++i) {
-    a[static_cast<std::size_t>(i)] = net.AddInput("a" + std::to_string(i));
+    a[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("a", i));
   }
   for (int i = 0; i < bits; ++i) {
-    b[static_cast<std::size_t>(i)] = net.AddInput("b" + std::to_string(i));
+    b[static_cast<std::size_t>(i)] = net.AddInput(IndexedName("b", i));
   }
   NodeId res = net.AddNode({}, Sop::Const1(0), "res_init");
   for (int i = 0; i < bits; ++i) {  // LSB last => MSB priority via nesting
@@ -390,11 +391,11 @@ class FlowRandomTest : public ::testing::TestWithParam<int> {};
 
 Network RandomNetwork(std::uint64_t seed) {
   Rng rng(seed);
-  Network net("rand" + std::to_string(seed));
+  Network net(IndexedName("rand", seed));
   std::vector<NodeId> pool;
   const int ni = 4 + static_cast<int>(rng.Below(5));
   for (int i = 0; i < ni; ++i) {
-    pool.push_back(net.AddInput("i" + std::to_string(i)));
+    pool.push_back(net.AddInput(IndexedName("i", i)));
   }
   const int nodes = 12 + static_cast<int>(rng.Below(18));
   for (int g = 0; g < nodes; ++g) {
@@ -409,7 +410,7 @@ Network RandomNetwork(std::uint64_t seed) {
     pool.push_back(net.AddNode(fanins, Sop::FromTruthTable(tt)));
   }
   for (int o = 0; o < 3 && o < static_cast<int>(pool.size()); ++o) {
-    net.AddOutput("o" + std::to_string(o),
+    net.AddOutput(IndexedName("o", o),
                   pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   return net;
@@ -573,22 +574,22 @@ TEST(WearoutMonitor, ResetClearsStatistics) {
 // equal depths make every output SPCF-critical, so a 2-of-4 scope leaves
 // exactly two criticals deliberately unprotected.
 Network FourWayRipple(int bits) {
-  Network net("ripple4x" + std::to_string(bits));
+  Network net(IndexedName("ripple4x", bits));
   for (int lane = 0; lane < 4; ++lane) {
     const std::string tag = std::to_string(lane);
     std::vector<NodeId> a(static_cast<std::size_t>(bits));
     std::vector<NodeId> b(static_cast<std::size_t>(bits));
     for (int i = 0; i < bits; ++i) {
       a[static_cast<std::size_t>(i)] =
-          net.AddInput("a" + tag + "_" + std::to_string(i));
+          net.AddInput("a" + tag + IndexedName("_", i));
     }
     for (int i = 0; i < bits; ++i) {
       b[static_cast<std::size_t>(i)] =
-          net.AddInput("b" + tag + "_" + std::to_string(i));
+          net.AddInput("b" + tag + IndexedName("_", i));
     }
     NodeId res = net.AddNode({}, Sop::Const1(0), "res_init" + tag);
     for (int i = 0; i < bits; ++i) {
-      const std::string s = tag + "_" + std::to_string(i);
+      const std::string s = tag + IndexedName("_", i);
       const NodeId nb = AddNot(net, b[static_cast<std::size_t>(i)], "nb" + s);
       const NodeId gt =
           AddAnd(net, {a[static_cast<std::size_t>(i)], nb}, "gt" + s);

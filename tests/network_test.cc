@@ -8,6 +8,7 @@
 #include "network/sweep.h"
 #include "network/topo.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -226,7 +227,7 @@ TEST_P(DecomposeRandomTest, PreservesFunction) {
   // Random multi-level network with random SOP nodes.
   Network net("rand");
   std::vector<NodeId> pool;
-  for (int i = 0; i < 6; ++i) pool.push_back(net.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) pool.push_back(net.AddInput(IndexedName("i", i)));
   for (int g = 0; g < 15; ++g) {
     const int k = static_cast<int>(rng.Range(1, 4));
     std::vector<NodeId> fanins;
@@ -241,7 +242,7 @@ TEST_P(DecomposeRandomTest, PreservesFunction) {
     pool.push_back(net.AddNode(fanins, Sop::FromTruthTable(tt)));
   }
   for (int o = 0; o < 3; ++o) {
-    net.AddOutput("o" + std::to_string(o), pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
+    net.AddOutput(IndexedName("o", o), pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
   }
   const DecomposeResult d = DecomposeToAndInv(net);
   EXPECT_TRUE(IsAndInvNetwork(d.network));

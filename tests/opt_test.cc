@@ -324,7 +324,8 @@ class FakeEvaluator : public CandidateEvaluator {
       key += "all";
     } else {
       for (std::size_t i = 0; i < c.scope.size(); ++i) {
-        key += (i ? "," : "") + std::to_string(c.scope[i]);
+        if (i != 0) key += ',';
+        key += std::to_string(c.scope[i]);
       }
     }
     return key;

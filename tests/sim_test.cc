@@ -7,6 +7,7 @@
 #include "sim/logic_sim.h"
 #include "sim/power.h"
 #include "network/structural.h"
+#include "util/strings.h"
 
 namespace sm {
 namespace {
@@ -76,7 +77,7 @@ TEST(LogicSim, AndGateActivityBelowInputActivity) {
   const Library lib = UnitLibrary();
   MappedNetlist net("and4");
   std::vector<GateId> ins;
-  for (int i = 0; i < 4; ++i) ins.push_back(net.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) ins.push_back(net.AddInput(IndexedName("i", i)));
   const GateId g = net.AddGate(lib.ByNameOrThrow("AND4"), ins, "g");
   net.AddOutput("y", g);
   Rng rng(2);
@@ -251,11 +252,11 @@ TEST(Power, ScalesWithCircuitSize) {
 
   MappedNetlist big("big");
   std::vector<GateId> ins;
-  for (int i = 0; i < 8; ++i) ins.push_back(big.AddInput("i" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) ins.push_back(big.AddInput(IndexedName("i", i)));
   GateId acc = big.AddGate(lib.ByNameOrThrow("XOR2"), {ins[0], ins[1]}, "x0");
   for (int i = 2; i < 8; ++i) {
     acc = big.AddGate(lib.ByNameOrThrow("XOR2"), {acc, ins[static_cast<std::size_t>(i)]},
-                      "x" + std::to_string(i));
+                      IndexedName("x", i));
   }
   big.AddOutput("y", acc);
 
