@@ -25,6 +25,7 @@
 #include "harness/flow.h"
 #include "harness/inject.h"
 #include "liblib/lsi10k.h"
+#include "service/json.h"
 #include "suite/paper_suite.h"
 #include "util/timer.h"
 

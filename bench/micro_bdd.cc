@@ -32,6 +32,7 @@
 #include "harness/bench_runner.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
+#include "service/json.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/paper_suite.h"

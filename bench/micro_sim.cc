@@ -27,6 +27,7 @@
 #include "harness/bench_runner.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
+#include "service/json.h"
 #include "sim/batch_sim.h"
 #include "sim/event_sim.h"
 #include "sta/sta.h"

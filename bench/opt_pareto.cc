@@ -23,6 +23,7 @@
 #include "harness/optimize.h"
 #include "harness/table.h"
 #include "liblib/lsi10k.h"
+#include "service/json.h"
 #include "suite/paper_suite.h"
 #include "util/strings.h"
 #include "util/timer.h"

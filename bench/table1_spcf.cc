@@ -25,6 +25,7 @@
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/tech_map.h"
+#include "service/json.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/paper_suite.h"

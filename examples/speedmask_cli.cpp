@@ -23,12 +23,10 @@
 //   speedmask_cli optimize <circuit> [--target-yield <y>] [--population <n>]
 //                  [--generations <n>] [--seed <n>] [--threads <n>]
 //                  [--trials <n>] [--sigma <s>] [--no-spot-check]
-//                  [--via-daemon [--socket <path>]] [--json <path>]
+//                  [--json <path>]
 //       run the closed-loop Pareto search over protection scope × guard
 //       band × synthesis effort and print the canonical front JSON.
-//       --via-daemon evaluates candidates through a running analysis
-//       daemon instead of in-process (byte-identical front, named
-//       circuits only).
+//       (`submit --method optimize` runs the same search on a daemon.)
 //   speedmask_cli serve [--socket <path|host:port>] [--workers <n>]
 //       run the analysis daemon until a client sends `shutdown`. The
 //       address is a Unix socket path or host:port (":0" = free port).
@@ -47,6 +45,7 @@
 //                  [--trials <n>] [--sigma <s>] [--seed <n>]
 //                  [--strategy exhaustive|random|adversarial]
 //                  [--fault permanent|transient] [--sites <n>] [--vectors <n>]
+//                  [--target-yield <y>] [--population <n>] [--generations <n>]
 //                  [--deadline-ms <n>] [--work-budget <n>]
 //                  [--read-timeout-ms <n>]
 //       send one request to a running daemon and print the result JSON
@@ -386,7 +385,7 @@ int CmdOptimize(std::vector<std::string> args) {
                  "[--target-yield <y>] [--population <n>] "
                  "[--generations <n>] [--seed <n>] [--threads <n>] "
                  "[--trials <n>] [--sigma <s>] [--no-spot-check] "
-                 "[--via-daemon [--socket <path>]] [--json <path>]\n";
+                 "[--json <path>]\n";
     return 2;
   }
   OptimizerOptions options;
@@ -403,29 +402,11 @@ int CmdOptimize(std::vector<std::string> args) {
   config.yield_trials =
       std::stoull(GetFlag(args, "--trials").value_or("1500"));
   config.sigma = std::stod(GetFlag(args, "--sigma").value_or("0.05"));
-  const std::string socket =
-      GetFlag(args, "--socket").value_or(ServerOptions{}.listen_address);
-  const bool via_daemon = GetSwitch(args, "--via-daemon");
   const auto json_path = GetFlag(args, "--json");
 
-  const std::string& spec = args[0];
-  const Network net = LoadCircuit(spec);
-  OptimizeResult result;
-  if (via_daemon) {
-    if (spec.find('.') != std::string::npos ||
-        spec.find('/') != std::string::npos) {
-      // BLIF round-trips are not structure-preserving, so only a named
-      // circuit resolves to the identical network on both sides.
-      std::cerr << "--via-daemon needs a named paper circuit, not a file\n";
-      return 2;
-    }
-    auto client = ServiceClient::ConnectWithRetry(socket);
-    DaemonEvaluator evaluator(*client, spec, net, config);
-    result = RunMaskingOptimizer(evaluator, options);
-  } else {
-    const Library lib = Lsi10kLike();
-    result = OptimizeCircuit(net, lib, options, config);
-  }
+  const Network net = LoadCircuit(args[0]);
+  const Library lib = Lsi10kLike();
+  const OptimizeResult result = OptimizeCircuit(net, lib, options, config);
 
   const std::string json = EncodeParetoFrontJson(net.name(), options, result);
   std::cout << json << "\n";
@@ -453,7 +434,8 @@ int CmdSubmit(std::vector<std::string> args) {
     std::cerr << "usage: speedmask_cli submit <circuit> [--socket <path>] "
                  "[--method spcf|flow|yield|inject|optimize] "
                  "[--guard <frac>] [--algo node|path|short] [--trials <n>] "
-                 "[--sigma <s>] [--seed <n>] [--deadline-ms <n>] "
+                 "[--sigma <s>] [--seed <n>] [--target-yield <y>] "
+                 "[--population <n>] [--generations <n>] [--deadline-ms <n>] "
                  "[--work-budget <n>] [--read-timeout-ms <n>]\n";
     return 2;
   }

@@ -191,11 +191,12 @@ std::uint64_t FleetRouter::RoutingKey(const std::string& payload) {
   return key;
 }
 
-std::vector<bool> FleetRouter::ExcludedShards() const {
+std::vector<bool> FleetRouter::ExcludedShards(
+    const std::vector<bool>& tried) const {
   std::lock_guard<std::mutex> lock(shard_mutex_);
   std::vector<bool> excluded(drained_.size());
   for (std::size_t i = 0; i < drained_.size(); ++i) {
-    excluded[i] = drained_[i] || unhealthy_[i];
+    excluded[i] = tried[i] || drained_[i] || unhealthy_[i];
   }
   return excluded;
 }
@@ -203,11 +204,14 @@ std::vector<bool> FleetRouter::ExcludedShards() const {
 std::string FleetRouter::ForwardWithFailover(Connection& conn,
                                              std::uint64_t key,
                                              const std::string& payload) {
-  std::vector<bool> excluded = ExcludedShards();
+  // Shards this request already tried. Drained/unhealthy marks are reread on
+  // every attempt: during a rolling restart a shard restored while this
+  // request was replaying must be pickable again.
+  std::vector<bool> tried(options_.shards.size(), false);
   for (;;) {
     int shard = -1;
     try {
-      shard = ring_.PickExcluding(key, excluded);
+      shard = ring_.PickExcluding(key, ExcludedShards(tried));
     } catch (const std::invalid_argument&) {
       // Retryable by the taxonomy: shards come back (probe clears the
       // unhealthy mark, RestoreShard undrains), so the client should back
@@ -228,7 +232,7 @@ std::string FleetRouter::ForwardWithFailover(Connection& conn,
         unhealthy_[static_cast<std::size_t>(shard)] = true;
       }
       failovers_.fetch_add(1, std::memory_order_relaxed);
-      excluded[static_cast<std::size_t>(shard)] = true;
+      tried[static_cast<std::size_t>(shard)] = true;
       continue;
     }
     // A shard drained between our routing decision and its admission
@@ -238,7 +242,7 @@ std::string FleetRouter::ForwardWithFailover(Connection& conn,
     try {
       if (ParseResponse(response).status == "shutting_down") {
         replays_.fetch_add(1, std::memory_order_relaxed);
-        excluded[static_cast<std::size_t>(shard)] = true;
+        tried[static_cast<std::size_t>(shard)] = true;
         continue;
       }
     } catch (const std::exception&) {

@@ -140,7 +140,8 @@ class FleetRouter {
   std::string ExchangeWithShard(Connection& conn, int shard,
                                 const std::string& payload);
   std::uint64_t RoutingKey(const std::string& payload);
-  std::vector<bool> ExcludedShards() const;
+  // Shards not to route to: `tried` plus every drained or unhealthy one.
+  std::vector<bool> ExcludedShards(const std::vector<bool>& tried) const;
   void ShutdownFleet();  // forwards "shutdown" to every shard
   void StopListeningLocked();
 

@@ -42,48 +42,4 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
   return o;
 }
 
-std::string JsonEscape(const std::string& s) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default: {
-        // RFC 8259: every control character must be escaped, not just the
-        // ones with shorthand forms.
-        const unsigned char u = static_cast<unsigned char>(c);
-        if (u < 0x20) {
-          out += "\\u00";
-          out += kHex[u >> 4];
-          out += kHex[u & 0xf];
-        } else {
-          out += c;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace sm

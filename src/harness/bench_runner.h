@@ -31,9 +31,6 @@ struct BenchOptions {
 // malformed value.
 BenchOptions ParseBenchArgs(int argc, char** argv);
 
-// Escapes a string for embedding in a JSON double-quoted literal.
-std::string JsonEscape(const std::string& s);
-
 // Runs row(i) for every i in [0, n) across `threads` pool workers and
 // returns the results in index order. Row must be default-constructible and
 // move-assignable. Exceptions are rethrown in index order (first failing

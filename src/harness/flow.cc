@@ -30,6 +30,18 @@ class ScopedManagerCancel {
 
 }  // namespace
 
+FlowOptions FlowOptionsFor(double guard, int effort,
+                           const std::vector<std::size_t>& scope) {
+  FlowOptions options;
+  options.spcf.guard_band = guard;
+  options.synth = SynthOptionsForEffort(effort);
+  if (!scope.empty()) {
+    options.synth.protect_all = false;
+    options.synth.protection_scope = scope;
+  }
+  return options;
+}
+
 void ValidateFlowOptions(const FlowOptions& options, std::size_t num_outputs) {
   SM_REQUIRE(std::isfinite(options.spcf.guard_band) &&
                  options.spcf.guard_band >= 0 && options.spcf.guard_band < 1,

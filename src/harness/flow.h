@@ -46,6 +46,14 @@ struct FlowOptions {
   const CancelToken* cancel = nullptr;
 };
 
+// The flow of a scoped request, shared by the analysis service and the
+// optimizer so both run byte-identical flows: FlowOptions defaults except
+// the SPCF guard band and SynthOptionsForEffort(effort), restricted to the
+// original output indices in `scope` (strictly ascending; empty =
+// protect every critical output).
+FlowOptions FlowOptionsFor(double guard, int effort,
+                           const std::vector<std::size_t>& scope);
+
 struct FlowResult {
   // The manager owns every BDD ref below; it is listed first and destroyed
   // last. Null when the flow ran inside FlowOptions::reuse_manager — the

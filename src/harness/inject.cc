@@ -1,11 +1,9 @@
 #include "harness/inject.h"
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
-#include "harness/bench_runner.h"
 #include "map/netlist_io.h"
+#include "service/json.h"
 #include "util/check.h"
 
 namespace sm {
@@ -16,17 +14,6 @@ std::string BitsToString(const std::vector<bool>& bits) {
   s.reserve(bits.size());
   for (const bool b : bits) s.push_back(b ? '1' : '0');
   return s;
-}
-
-// Shortest round-trip-exact decimal, matching the service Json dumper so
-// reproducer files and daemon responses agree on number spelling.
-std::string FormatDouble(double d) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  return buf;
 }
 
 }  // namespace
@@ -61,22 +48,22 @@ InjectionCampaignResult RunFaultInjectionCampaign(
 
 std::string EncodeEscapeRecordJson(const EscapeRecord& rec, double clock,
                                    double protected_clock) {
-  std::ostringstream out;
-  out << "{\"trial\":" << rec.trial
-      << ",\"site\":" << rec.site
-      << ",\"site_name\":\"" << JsonEscape(rec.site_name) << "\""
-      << ",\"kind\":\"" << ToString(rec.kind) << "\""
-      << ",\"transition_index\":" << rec.transition_index
-      << ",\"delta\":" << FormatDouble(rec.delta)
-      << ",\"campaign_delta\":" << FormatDouble(rec.campaign_delta)
-      << ",\"previous\":\"" << BitsToString(rec.previous) << "\""
-      << ",\"next\":\"" << BitsToString(rec.next) << "\""
-      << ",\"output_index\":" << rec.output_index
-      << ",\"output_name\":\"" << JsonEscape(rec.output_name) << "\""
-      << ",\"shrunk\":" << (rec.shrunk ? "true" : "false")
-      << ",\"clock\":" << FormatDouble(clock)
-      << ",\"protected_clock\":" << FormatDouble(protected_clock) << "}";
-  return out.str();
+  Json obj = Json::MakeObject();
+  obj.Set("trial", rec.trial);
+  obj.Set("site", static_cast<std::uint64_t>(rec.site));
+  obj.Set("site_name", rec.site_name);
+  obj.Set("kind", ToString(rec.kind));
+  obj.Set("transition_index", rec.transition_index);
+  obj.Set("delta", rec.delta);
+  obj.Set("campaign_delta", rec.campaign_delta);
+  obj.Set("previous", BitsToString(rec.previous));
+  obj.Set("next", BitsToString(rec.next));
+  obj.Set("output_index", rec.output_index);
+  obj.Set("output_name", rec.output_name);
+  obj.Set("shrunk", rec.shrunk);
+  obj.Set("clock", clock);
+  obj.Set("protected_clock", protected_clock);
+  return obj.Dump();
 }
 
 std::vector<std::string> WriteEscapeReproducers(

@@ -43,12 +43,9 @@ std::vector<std::size_t> InProcessEvaluator::CriticalOutputs(double guard) {
 
 FlowResult InProcessEvaluator::RunCandidateFlow(
     const CandidateConfig& candidate) const {
-  // Everything but the searched axes stays at the FlowOptions defaults —
-  // the same construction the analysis service uses for scoped requests,
-  // which is what makes daemon-evaluated searches byte-identical.
-  FlowOptions options;
-  options.spcf.guard_band = candidate.guard;
-  options.synth = SynthOptionsForCandidate(candidate);
+  FlowOptions options = FlowOptionsFor(
+      candidate.guard, candidate.effort,
+      candidate.protect_all ? std::vector<std::size_t>{} : candidate.scope);
   options.cancel = config_.cancel;
   return RunMaskingFlowPremapped(mapped_, ti_, lib_, options);
 }
@@ -100,114 +97,6 @@ std::size_t InProcessEvaluator::SpotCheck(const CandidateConfig& candidate) {
   options.threads = 1;
   options.cancel = config_.cancel;
   return RunFaultInjectionCampaign(flow, options).escapes;
-}
-
-DaemonEvaluator::DaemonEvaluator(ServiceClient& client,
-                                 std::string circuit_name, const Network& ti,
-                                 const OptEvalConfig& config)
-    : client_(client),
-      circuit_name_(std::move(circuit_name)),
-      ti_(ti),
-      config_(config) {
-  ValidateOptEvalConfig(config_);
-  SM_REQUIRE(!circuit_name_.empty(),
-             "daemon evaluation needs a named paper circuit");
-}
-
-std::size_t DaemonEvaluator::NumOutputs() { return ti_.NumOutputs(); }
-
-namespace {
-
-ServiceRequest ScopedRequest(ServiceMethod method,
-                             const std::string& circuit_name,
-                             const CandidateConfig& candidate) {
-  ServiceRequest request;
-  request.method = method;
-  request.circuit_name = circuit_name;
-  request.guard = candidate.guard;
-  request.effort = candidate.effort;
-  if (!candidate.protect_all) request.scope = candidate.scope;
-  return request;
-}
-
-Json ParseOkResult(const ServiceResponse& response, const char* what) {
-  SM_CHECK(response.ok(),
-           what << " request failed: " << response.status << " "
-                << response.error);
-  return Json::Parse(response.result_json);
-}
-
-}  // namespace
-
-std::vector<std::size_t> DaemonEvaluator::CriticalOutputs(double guard) {
-  ServiceRequest request;
-  request.method = ServiceMethod::kAnalyzeSpcf;
-  request.circuit_name = circuit_name_;
-  request.guard = guard;
-  const Json doc =
-      ParseOkResult(client_.CallWithRetry(std::move(request)), "analyze_spcf");
-  std::vector<std::size_t> critical;
-  const Json* outputs = doc.Find("critical_outputs");
-  SM_CHECK(outputs != nullptr, "analyze_spcf result lacks critical_outputs");
-  for (const Json& entry : outputs->AsArray()) {
-    critical.push_back(entry.GetUint64("index", 0));
-  }
-  return critical;
-}
-
-std::vector<OptEvaluation> DaemonEvaluator::EvaluateBatch(
-    const std::vector<CandidateConfig>& candidates, int threads) {
-  (void)threads;  // one connection, serial requests; the daemon parallelizes
-  std::vector<OptEvaluation> evals;
-  evals.reserve(candidates.size());
-  for (const CandidateConfig& candidate : candidates) {
-    OptEvaluation e;
-    try {
-      const Json flow = ParseOkResult(
-          client_.CallWithRetry(ScopedRequest(
-              ServiceMethod::kSynthesizeMasking, circuit_name_, candidate)),
-          "synthesize_masking");
-      ServiceRequest yield_request = ScopedRequest(
-          ServiceMethod::kEstimateYield, circuit_name_, candidate);
-      yield_request.trials = config_.yield_trials;
-      yield_request.sigma = config_.sigma;
-      yield_request.seed = config_.yield_seed;
-      const Json yield = ParseOkResult(
-          client_.CallWithRetry(std::move(yield_request)), "estimate_yield");
-      // Every double below was formatted by the canonical shortest-round-
-      // trip dumper, so parsing recovers the in-process value bit for bit.
-      e.area_percent = flow.GetDouble("area_percent", 0);
-      e.power_percent = flow.GetDouble("power_percent", 0);
-      e.slack_percent = flow.GetDouble("slack_percent", 0);
-      e.critical_outputs = flow.GetUint64("critical_outputs", 0);
-      e.protected_outputs = flow.GetUint64("protected_outputs", 0);
-      const Json* safety = flow.Find("safety");
-      e.safety = safety != nullptr && safety->AsBool();
-      const Json* scope_coverage = flow.Find("scope_coverage");
-      e.scope_coverage = scope_coverage != nullptr && scope_coverage->AsBool();
-      e.residual_rate = yield.GetDouble("residual_rate", 0);
-      e.yield_original = yield.GetDouble("yield_original", 0);
-      e.yield_protected = yield.GetDouble("yield_protected", 0);
-      e.ok = true;
-    } catch (const std::exception& ex) {
-      e.ok = false;
-      e.error = ex.what();
-    }
-    evals.push_back(std::move(e));
-  }
-  return evals;
-}
-
-std::size_t DaemonEvaluator::SpotCheck(const CandidateConfig& candidate) {
-  ServiceRequest request =
-      ScopedRequest(ServiceMethod::kInjectCampaign, circuit_name_, candidate);
-  request.strategy = FaultSiteStrategy::kAdversarial;
-  request.sites = config_.spot_sites;
-  request.vectors = config_.spot_vectors;
-  request.seed = config_.spot_seed;
-  const Json doc = ParseOkResult(client_.CallWithRetry(std::move(request)),
-                                 "inject_campaign");
-  return doc.GetUint64("escapes", 0);
 }
 
 namespace {

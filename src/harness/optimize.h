@@ -1,17 +1,13 @@
-// Concrete evaluators and wiring for the closed-loop masking optimizer
-// (opt/optimizer.h): an in-process evaluator running the full flow +
-// Monte-Carlo yield oracle locally, a daemon evaluator that sends the same
-// work to a speedmask analysis service, and the canonical Pareto-front
-// JSON encoder.
+// The in-process candidate evaluator for the closed-loop masking optimizer
+// (opt/optimizer.h), running the full flow + Monte-Carlo yield oracle
+// locally, and the canonical Pareto-front JSON encoder.
 //
-// Byte-identity contract: both evaluators construct EXACTLY the flow the
-// analysis service runs for a scoped request — Lsi10kLike library, default
-// FlowOptions except the guard band, synthesis options from
-// SynthOptionsForEffort + scope, yield engine at threads=1. The daemon
-// path round-trips every double through the canonical JSON formatter
-// (shortest-round-trip, bit-exact), so an optimizer run is byte-identical
-// whichever evaluator backs it — one of the acceptance gates of
-// bench/opt_pareto.
+// Byte-identity contract: a candidate's flow is exactly the flow the
+// analysis service runs for the same scoped request — Lsi10kLike library,
+// FlowOptionsFor(guard, effort, scope), yield engine at threads=1 — so the
+// daemon's optimize_masking method, which runs this evaluator server-side,
+// answers the same front bytes as an in-process search (one of the
+// acceptance gates of bench/opt_pareto).
 #pragma once
 
 #include <memory>
@@ -19,12 +15,10 @@
 
 #include "harness/flow.h"
 #include "opt/optimizer.h"
-#include "service/client.h"
 
 namespace sm {
 
-// Fixed per-candidate budgets shared by both evaluators (everything the
-// genome does NOT search over).
+// Fixed per-candidate budgets (everything the genome does NOT search over).
 struct OptEvalConfig {
   // Monte-Carlo yield oracle (mirrors the service's estimate_yield knobs).
   std::uint64_t yield_trials = 1500;
@@ -72,31 +66,6 @@ class InProcessEvaluator : public CandidateEvaluator {
   OptEvalConfig config_;
   MappedNetlist mapped_{""};
   TimingInfo timing_;
-};
-
-// Sends each candidate as a synthesize_masking + estimate_yield request
-// pair (and spot-checks as inject_campaign requests) to a running
-// analysis daemon. Only named paper circuits are supported: BLIF
-// round-trips are not structure-preserving, so a name is the only
-// representation both sides resolve to the identical network.
-class DaemonEvaluator : public CandidateEvaluator {
- public:
-  // `ti` is the local instantiation of `circuit_name` (for NumOutputs);
-  // both it and the client must outlive the evaluator.
-  DaemonEvaluator(ServiceClient& client, std::string circuit_name,
-                  const Network& ti, const OptEvalConfig& config = {});
-
-  std::size_t NumOutputs() override;
-  std::vector<std::size_t> CriticalOutputs(double guard) override;
-  std::vector<OptEvaluation> EvaluateBatch(
-      const std::vector<CandidateConfig>& candidates, int threads) override;
-  std::size_t SpotCheck(const CandidateConfig& candidate) override;
-
- private:
-  ServiceClient& client_;
-  std::string circuit_name_;
-  const Network& ti_;
-  OptEvalConfig config_;
 };
 
 // Canonical front JSON: circuit, search parameters, the protect-all

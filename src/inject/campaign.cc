@@ -589,10 +589,6 @@ InjectionCampaignResult RunInjectionCampaign(
     return r;
   }
 
-  // Materialize the fanout lists before the parallel phase: Fanouts() caches
-  // lazily and is not safe to build concurrently.
-  (void)prot.Fanouts();
-
   // Per-site vector-generation contexts (worst-path heads and robust
   // sensitizing patterns), computed sequentially — the BDD manager is not
   // thread-safe, and the reduction regenerates vectors from the same data.

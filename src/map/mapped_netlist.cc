@@ -16,7 +16,7 @@ GateId MappedNetlist::AddInput(std::string name) {
   elements_.push_back(Element{nullptr, std::move(name), {}});
   input_ids_.push_back(id);
   ++num_inputs_;
-  fanouts_valid_ = false;
+  fanouts_.emplace_back();
   return id;
 }
 
@@ -34,8 +34,9 @@ GateId MappedNetlist::AddGate(const Cell* cell, std::vector<GateId> fanins,
   SM_REQUIRE(by_name_.find(name) == by_name_.end(),
              "duplicate element name: " << name);
   by_name_.emplace(name, id);
+  for (GateId f : fanins) fanouts_[f].push_back(id);
   elements_.push_back(Element{cell, std::move(name), std::move(fanins)});
-  fanouts_valid_ = false;
+  fanouts_.emplace_back();
   return id;
 }
 
@@ -72,17 +73,6 @@ int MappedNetlist::InputIndex(GateId id) const {
 GateId MappedNetlist::FindByName(const std::string& name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidGate : it->second;
-}
-
-const std::vector<std::vector<GateId>>& MappedNetlist::Fanouts() const {
-  if (!fanouts_valid_) {
-    fanouts_.assign(elements_.size(), {});
-    for (GateId id = 0; id < elements_.size(); ++id) {
-      for (GateId f : elements_[id].fanins) fanouts_[f].push_back(id);
-    }
-    fanouts_valid_ = true;
-  }
-  return fanouts_;
 }
 
 double MappedNetlist::TotalArea() const {

@@ -55,8 +55,9 @@ class MappedNetlist {
 
   GateId FindByName(const std::string& name) const;  // kInvalidGate if absent
 
-  const std::vector<std::vector<GateId>>& Fanouts() const;
-  void InvalidateFanouts() { fanouts_valid_ = false; }
+  // Fanout lists, indexed by GateId, each in ascending GateId order. Built
+  // as gates are added, so concurrent readers need no synchronization.
+  const std::vector<std::vector<GateId>>& Fanouts() const { return fanouts_; }
 
   double TotalArea() const;
 
@@ -78,8 +79,7 @@ class MappedNetlist {
   std::size_t num_inputs_ = 0;
   std::vector<Output> outputs_;
   std::unordered_map<std::string, GateId> by_name_;
-  mutable std::vector<std::vector<GateId>> fanouts_;
-  mutable bool fanouts_valid_ = false;
+  std::vector<std::vector<GateId>> fanouts_;
 };
 
 }  // namespace sm

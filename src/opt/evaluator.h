@@ -2,14 +2,12 @@
 //
 // The optimizer (opt/optimizer.h) never runs a flow itself — it hands
 // resolved candidate configurations to a CandidateEvaluator and consumes
-// the scalar fitness summaries that come back. Two implementations live in
-// harness/optimize.h: one runs RunMaskingFlow + EstimateTimingYield in
-// process, the other sends synthesize_masking / estimate_yield requests to
-// a speedmask analysis daemon. Both must produce BIT-IDENTICAL
-// OptEvaluation values for the same candidate (the daemon path round-trips
-// every double through the canonical JSON formatter, which is shortest-
-// round-trip exact), so the search trajectory — and the final Pareto front
-// — is byte-identical whichever evaluator backs it.
+// the scalar fitness summaries that come back. The production
+// implementation is InProcessEvaluator (harness/optimize.h), which runs
+// RunMaskingFlow + EstimateTimingYield per candidate; the analysis daemon's
+// optimize_masking method runs the same evaluator server-side. Evaluations
+// must be pure functions of the candidate, so the search trajectory — and
+// the final Pareto front — does not depend on the thread count.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +54,7 @@ class CandidateEvaluator {
   virtual std::vector<std::size_t> CriticalOutputs(double guard) = 0;
 
   // One evaluation per candidate, same order. `threads` is a wall-clock
-  // hint only: results must not depend on it (in-process evaluation is a
-  // pure function per candidate; the daemon evaluator ignores the hint).
+  // hint only: results must not depend on it.
   virtual std::vector<OptEvaluation> EvaluateBatch(
       const std::vector<CandidateConfig>& candidates, int threads) = 0;
 

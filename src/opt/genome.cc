@@ -199,11 +199,4 @@ CandidateConfig ResolveGenome(const OptGenome& genome,
   return c;
 }
 
-MaskingSynthOptions SynthOptionsForCandidate(const CandidateConfig& config) {
-  MaskingSynthOptions synth = SynthOptionsForEffort(config.effort);
-  synth.protect_all = config.protect_all;
-  synth.protection_scope = config.scope;
-  return synth;
-}
-
 }  // namespace sm

@@ -93,7 +93,4 @@ struct CandidateConfig {
 CandidateConfig ResolveGenome(const OptGenome& genome,
                               const OptSearchSpace& space);
 
-// Effort + scope mapped onto the synthesis options the flow consumes.
-MaskingSynthOptions SynthOptionsForCandidate(const CandidateConfig& config);
-
 }  // namespace sm

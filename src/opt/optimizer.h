@@ -29,7 +29,7 @@
 // writes its own slot and the archive merge is sequential in batch order;
 // NSGA-II ties break on population index (opt/nsga2.h) and archive order
 // is the canonical key order. The resulting front is bit-identical across
-// reruns, thread counts, and evaluator transports.
+// reruns, thread counts, and in-process vs daemon (optimize_masking) runs.
 #pragma once
 
 #include <cstdint>

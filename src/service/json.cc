@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "harness/bench_runner.h"
-
 namespace sm {
 
 namespace {
@@ -96,6 +94,50 @@ Json& Json::Append(Json value) {
   if (kind_ != Kind::kArray) Fail("Append on a non-array json value");
   array_.push_back(std::move(value));
   return *this;
+}
+
+std::string JsonEscape(const std::string& s) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      default: {
+        // RFC 8259: every control character must be escaped, not just the
+        // ones with shorthand forms.
+        const unsigned char u = static_cast<unsigned char>(c);
+        if (u < 0x20) {
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  return out;
 }
 
 std::string JsonNumberToString(double value) {

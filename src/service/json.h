@@ -97,4 +97,8 @@ class Json {
 // Canonical number formatting used by Dump; exposed for tests.
 std::string JsonNumberToString(double value);
 
+// Escapes a string for embedding in a JSON double-quoted literal: the
+// spelling Dump uses for strings and keys.
+std::string JsonEscape(const std::string& s);
+
 }  // namespace sm

@@ -169,6 +169,11 @@ ServiceRequest ParseRequest(const std::string& payload) {
     SM_REQUIRE(r.guard > 0 && r.guard < 1,
                "guard must be in (0, 1), got " << r.guard);
   }
+  if (r.method == ServiceMethod::kEstimateYield) {
+    SM_REQUIRE(r.trials > 0, "trials must be positive");
+    SM_REQUIRE(std::isfinite(r.sigma) && r.sigma >= 0,
+               "sigma must be non-negative and finite, got " << r.sigma);
+  }
   if (r.method == ServiceMethod::kInjectCampaign) {
     SM_REQUIRE(r.vectors > 0, "vectors must be positive");
     SM_REQUIRE(std::isfinite(r.delta_fraction) && r.delta_fraction > 0,
@@ -191,6 +196,8 @@ ServiceRequest ParseRequest(const std::string& payload) {
     SM_REQUIRE(r.population >= 2, "population must be >= 2");
     SM_REQUIRE(r.generations >= 1, "generations must be >= 1");
     SM_REQUIRE(r.trials > 0, "trials must be positive");
+    SM_REQUIRE(std::isfinite(r.sigma) && r.sigma > 0,
+               "sigma must be positive and finite, got " << r.sigma);
   }
   return r;
 }

@@ -81,7 +81,6 @@ struct SpeedmaskServer::WorkerContext {
       // the finished request while the manager itself — allocated slot
       // capacity, surviving op-cache entries, work counters — stays warm.
       it->second->GarbageCollect();
-      if (options.warm_reorder) it->second->Reorder();
       if (it->second->NumNodes() > options.manager_reset_nodes) {
         // Only reachable if something left roots registered across
         // requests; rebuild rather than let the manager pin that memory.
@@ -133,36 +132,22 @@ struct SpeedmaskServer::WorkerContext {
     return total;
   }
 
-  std::uint64_t TotalReorderRuns() const {
-    std::uint64_t total = retired_reorder_runs;
-    for (const auto& [vars, mgr] : managers) {
-      total += mgr->Stats().reorder_runs;
-    }
-    return total;
-  }
-
   void Publish() {
     published_nodes.store(TotalNodes(), std::memory_order_relaxed);
     published_gc_runs.store(TotalGcRuns(), std::memory_order_relaxed);
-    published_reorder_runs.store(TotalReorderRuns(),
-                                 std::memory_order_relaxed);
   }
 
   std::map<int, std::unique_ptr<BddManager>> managers;
   // Counters of managers dropped by a retire/rebuild, so the cumulative
   // per-worker stats survive the manager they were accrued in.
   std::uint64_t retired_gc_runs = 0;
-  std::uint64_t retired_reorder_runs = 0;
   // Published after every job so stats can read without racing the worker.
   std::atomic<std::size_t> published_nodes{0};
   std::atomic<std::uint64_t> published_gc_runs{0};
-  std::atomic<std::uint64_t> published_reorder_runs{0};
 
  private:
   void Retire(std::map<int, std::unique_ptr<BddManager>>::iterator it) {
-    const BddStats s = it->second->Stats();
-    retired_gc_runs += s.gc_runs;
-    retired_reorder_runs += s.reorder_runs;
+    retired_gc_runs += it->second->Stats().gc_runs;
     managers.erase(it);
   }
 };
@@ -297,11 +282,16 @@ void SpeedmaskServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  if (draining_.load()) {
+  // A draining daemon answers "shutting_down", which the fleet router
+  // replays on another shard.
+  const auto reject_draining = [&] {
     rejected_shutting_down_.fetch_add(1, std::memory_order_relaxed);
     SendResponse(conn, ServiceResponse{request.id, "shutting_down", "",
                                        "daemon is draining",
                                        ToString(ErrorCode::kUnavailable)});
+  };
+  if (draining_.load()) {
+    reject_draining();
     return;
   }
 
@@ -326,9 +316,15 @@ void SpeedmaskServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   }
 
   // Admission control: bounded outstanding work, explicit overload reply.
+  // Draining is rechecked under the lock Shutdown() drains on, so a request
+  // that raced the drain start is rejected as draining, not as overload.
   {
     std::lock_guard<std::mutex> lock(drain_mutex_);
-    if (pending_ >= options_.queue_capacity || draining_.load()) {
+    if (draining_.load()) {
+      reject_draining();
+      return;
+    }
+    if (pending_ >= options_.queue_capacity) {
       overloaded_.fetch_add(1, std::memory_order_relaxed);
       SendResponse(conn,
                    ServiceResponse{request.id, "overloaded", "",
@@ -449,22 +445,6 @@ void SpeedmaskServer::RunAnalysis(std::shared_ptr<Connection> conn,
   FinishRequest();
 }
 
-namespace {
-
-// Effort + scope of a scoped-flow request mapped onto synthesis options
-// (the same resolution the optimizer's evaluators apply client-side).
-MaskingSynthOptions ScopedSynthOptions(const ServiceRequest& request) {
-  MaskingSynthOptions synth =
-      SynthOptionsForEffort(static_cast<int>(request.effort));
-  if (!request.scope.empty()) {
-    synth.protect_all = false;
-    synth.protection_scope = request.scope;
-  }
-  return synth;
-}
-
-}  // namespace
-
 std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
                                            const ServiceRequest& request,
                                            const Network& circuit,
@@ -500,10 +480,10 @@ std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
                               spcf);
     }
     case ServiceMethod::kSynthesizeMasking:
-    case ServiceMethod::kEstimateYield: {
-      FlowOptions flow_options;
-      flow_options.spcf.guard_band = request.guard;
-      flow_options.synth = ScopedSynthOptions(request);
+    case ServiceMethod::kEstimateYield:
+    case ServiceMethod::kInjectCampaign: {
+      FlowOptions flow_options = FlowOptionsFor(
+          request.guard, static_cast<int>(request.effort), request.scope);
       flow_options.cancel = cancel;
       BddManager& mgr = ctx.ManagerFor(
           static_cast<int>(circuit.NumInputs()), options_, manager_resets_);
@@ -513,28 +493,19 @@ std::string SpeedmaskServer::ComputeResult(WorkerContext& ctx,
       if (request.method == ServiceMethod::kSynthesizeMasking) {
         return EncodeFlowResult(flow);
       }
-      YieldMcOptions yield_options;
-      yield_options.trials = request.trials;
-      yield_options.threads = 1;  // workers are already the parallel axis
-      yield_options.seed = request.seed;
-      yield_options.model.sigma = request.sigma;
-      yield_options.guard_band = request.guard;
-      yield_options.cancel = cancel;
-      const YieldMcResult yield = EstimateTimingYield(flow, yield_options);
-      sim_words_.fetch_add(yield.words_simulated, std::memory_order_relaxed);
-      sim_lanes_.fetch_add(yield.lanes_simulated, std::memory_order_relaxed);
-      return EncodeYieldResult(flow, yield);
-    }
-    case ServiceMethod::kInjectCampaign: {
-      FlowOptions flow_options;
-      flow_options.spcf.guard_band = request.guard;
-      flow_options.synth = ScopedSynthOptions(request);
-      flow_options.cancel = cancel;
-      BddManager& mgr = ctx.ManagerFor(
-          static_cast<int>(circuit.NumInputs()), options_, manager_resets_);
-      token_guard.Attach(mgr, cancel);
-      flow_options.reuse_manager = &mgr;
-      const FlowResult flow = RunMaskingFlow(circuit, library_, flow_options);
+      if (request.method == ServiceMethod::kEstimateYield) {
+        YieldMcOptions yield_options;
+        yield_options.trials = request.trials;
+        yield_options.threads = 1;  // workers are already the parallel axis
+        yield_options.seed = request.seed;
+        yield_options.model.sigma = request.sigma;
+        yield_options.guard_band = request.guard;
+        yield_options.cancel = cancel;
+        const YieldMcResult yield = EstimateTimingYield(flow, yield_options);
+        sim_words_.fetch_add(yield.words_simulated, std::memory_order_relaxed);
+        sim_lanes_.fetch_add(yield.lanes_simulated, std::memory_order_relaxed);
+        return EncodeYieldResult(flow, yield);
+      }
       InjectOptions inject_options;
       inject_options.strategy = request.strategy;
       inject_options.fault_kind = request.fault;
@@ -718,14 +689,10 @@ ServiceStatsSnapshot SpeedmaskServer::SnapshotStats() {
         ctx->published_nodes.load(std::memory_order_relaxed);
     const std::uint64_t gc_runs =
         ctx->published_gc_runs.load(std::memory_order_relaxed);
-    const std::uint64_t reorder_runs =
-        ctx->published_reorder_runs.load(std::memory_order_relaxed);
     s.manager_nodes += nodes;
     s.manager_gc_runs += gc_runs;
-    s.manager_reorder_runs += reorder_runs;
     s.worker_nodes.push_back(nodes);
     s.worker_gc_runs.push_back(gc_runs);
-    s.worker_reorder_runs.push_back(reorder_runs);
   }
   {
     const LatencyRing::Percentiles lat = latency_ring_.Snapshot();
@@ -766,7 +733,6 @@ std::string ServiceStatsSnapshot::ToResultJson() const {
   obj.Set("manager_resets", manager_resets);
   obj.Set("manager_nodes", manager_nodes);
   obj.Set("manager_gc_runs", manager_gc_runs);
-  obj.Set("manager_reorder_runs", manager_reorder_runs);
   Json sim = Json::MakeObject();
   sim.Set("words_simulated", sim_words_simulated);
   sim.Set("lanes_simulated", sim_lanes_simulated);
@@ -776,7 +742,6 @@ std::string ServiceStatsSnapshot::ToResultJson() const {
     Json w = Json::MakeObject();
     w.Set("nodes", worker_nodes[i]);
     w.Set("gc_runs", worker_gc_runs[i]);
-    w.Set("reorder_runs", worker_reorder_runs[i]);
     worker_arr.Append(std::move(w));
   }
   obj.Set("worker_managers", std::move(worker_arr));

@@ -80,11 +80,6 @@ struct ServerOptions {
   // collection (i.e. something kept roots registered) is rebuilt. With the
   // GC path this should never fire; the manager_resets stat counts it.
   std::size_t manager_reset_nodes = 4'000'000;
-  // Run one sifting pass on a warm manager after each over-threshold GC.
-  // Reordering changes BDD structure (and the SatOne cube picks downstream),
-  // so cold-vs-warm byte identity of synthesized results is lost — keep off
-  // unless clients only compare semantic numbers.
-  bool warm_reorder = false;
   // Cooperative mid-flight cancellation: thread a CancelToken (deadline +
   // work budget + client-disconnect cancel) through every analysis into the
   // BDD/MC/injection/optimizer kernels, so an expired deadline aborts the
@@ -117,8 +112,7 @@ struct ServiceStatsSnapshot {
   int workers = 0;
   std::uint64_t manager_resets = 0;
   std::size_t manager_nodes = 0;  // live nodes across worker managers
-  std::uint64_t manager_gc_runs = 0;       // collections across workers
-  std::uint64_t manager_reorder_runs = 0;  // sifting passes across workers
+  std::uint64_t manager_gc_runs = 0;  // collections across workers
   // Batched-simulation telemetry accumulated over estimate_yield and
   // inject_campaign requests (stats-only: the cached result encoders never
   // see these, so result bytes stay identical cold/warm/batched).
@@ -127,7 +121,6 @@ struct ServiceStatsSnapshot {
   // Per-worker warm-manager telemetry, indexed by worker slot.
   std::vector<std::size_t> worker_nodes;
   std::vector<std::uint64_t> worker_gc_runs;
-  std::vector<std::uint64_t> worker_reorder_runs;
   double p50_ms = 0;
   double p99_ms = 0;
   std::uint64_t latency_samples = 0;

@@ -219,11 +219,6 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     }
   }
 
-  // Pre-warm the fanout cache: trials only read the netlists, but the cache
-  // is built lazily and must not be raced.
-  (void)prot.Fanouts();
-  (void)original.Fanouts();
-
   std::vector<TrialOutcome> outcomes(options.trials);
   // With `plan == nullptr` the trial is classified inline through the scalar
   // engine (the original path, kept as the differential oracle). With a plan

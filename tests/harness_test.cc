@@ -183,21 +183,5 @@ TEST(BenchRunner, GenerateCircuitsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(BenchRunner, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
-TEST(BenchRunner, JsonEscapeHandlesAllControlChars) {
-  EXPECT_EQ(JsonEscape("a\tb\rc\bd\fe"), "a\\tb\\rc\\bd\\fe");
-  // Control characters without a shorthand escape become \u00XX — RFC 8259
-  // forbids them raw inside strings.
-  EXPECT_EQ(JsonEscape(std::string("x\x01y", 3)), "x\\u0001y");
-  EXPECT_EQ(JsonEscape(std::string("\x1f", 1)), "\\u001f");
-  EXPECT_EQ(JsonEscape(std::string("a\0b", 3)), "a\\u0000b");
-  // 0x20 and above pass through untouched.
-  EXPECT_EQ(JsonEscape(" ~"), " ~");
-}
-
 }  // namespace
 }  // namespace sm

@@ -272,6 +272,40 @@ TEST(Inject, PlantedSpcfDefectEscapesAndShrinksToAReproducer) {
             std::string::npos);
   EXPECT_NE(json_text.str().find("\"shrunk\":true"), std::string::npos);
   std::filesystem::remove_all(dir);
+
+  // The reproducer bytes themselves are pinned: a change to the encoder's
+  // field order, number spelling or escaping breaks replay tooling.
+  EXPECT_EQ(EncodeEscapeRecordJson(rec, r.clock, r.protected_clock),
+            "{\"trial\":8,\"site\":27,\"site_name\":\"n31\","
+            "\"kind\":\"permanent\",\"transition_index\":0,"
+            "\"delta\":0.0025390624990234375,"
+            "\"campaign_delta\":2.599999999,\"previous\":\"1111111101111111\","
+            "\"next\":\"0111111101111111\",\"output_index\":0,"
+            "\"output_name\":\"ge\",\"shrunk\":true,\"clock\":26,"
+            "\"protected_clock\":28}");
+}
+
+TEST(Inject, EscapeRecordJsonBytesArePinned) {
+  EscapeRecord rec;
+  rec.trial = 17;
+  rec.site = 42;
+  rec.site_name = "n\"7\\x\n";
+  rec.kind = FaultKind::kTransient;
+  rec.transition_index = 3;
+  rec.delta = 0.30000000000000004;
+  rec.campaign_delta = 2;
+  rec.previous = {true, false, true};
+  rec.next = {false, false, true};
+  rec.output_index = 1;
+  rec.output_name = "out";
+  rec.shrunk = false;
+  EXPECT_EQ(EncodeEscapeRecordJson(rec, 12.5, 1.0 / 3.0),
+            "{\"trial\":17,\"site\":42,\"site_name\":\"n\\\"7\\\\x\\n\","
+            "\"kind\":\"transient\",\"transition_index\":3,"
+            "\"delta\":0.30000000000000004,\"campaign_delta\":2,"
+            "\"previous\":\"101\",\"next\":\"001\",\"output_index\":1,"
+            "\"output_name\":\"out\",\"shrunk\":false,\"clock\":12.5,"
+            "\"protected_clock\":0.3333333333333333}");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "opt/genome.h"
 #include "opt/nsga2.h"
 #include "opt/optimizer.h"
+#include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "suite/circuit_gen.h"
@@ -168,7 +169,7 @@ TEST(OptGenome, VariationOperatorsAlwaysProduceCanonicalGenomes) {
   }
 }
 
-TEST(OptGenome, ResolveAndSynthOptionsCarryTheScope) {
+TEST(OptGenome, ResolveAndFlowOptionsCarryTheScope) {
   const OptSearchSpace space = ToySpace();
   OptGenome g;
   g.guard_index = 2;
@@ -183,18 +184,24 @@ TEST(OptGenome, ResolveAndSynthOptionsCarryTheScope) {
   EXPECT_FALSE(config.protect_all);
   EXPECT_EQ(config.scope, (std::vector<std::size_t>{3, 6}));
 
-  const MaskingSynthOptions synth = SynthOptionsForCandidate(config);
-  EXPECT_FALSE(synth.protect_all);
-  EXPECT_EQ(synth.protection_scope, config.scope);
+  const FlowOptions flow =
+      FlowOptionsFor(config.guard, config.effort, config.scope);
+  EXPECT_DOUBLE_EQ(flow.spcf.guard_band, 0.20);
+  EXPECT_FALSE(flow.synth.protect_all);
+  EXPECT_EQ(flow.synth.protection_scope, config.scope);
   // Effort 1 = Σ-reduced covers only.
-  EXPECT_TRUE(synth.reduce_covers);
-  EXPECT_FALSE(synth.simplify_indicators);
-  EXPECT_FALSE(synth.collapse);
+  EXPECT_TRUE(flow.synth.reduce_covers);
+  EXPECT_FALSE(flow.synth.simplify_indicators);
+  EXPECT_FALSE(flow.synth.collapse);
 
+  // The baseline resolves to protect-all, which the recipe spells as an
+  // empty scope.
   const CandidateConfig all = ResolveGenome(BaselineGenome(space), space);
-  const MaskingSynthOptions defaults = SynthOptionsForCandidate(all);
-  EXPECT_TRUE(defaults.protect_all);
-  EXPECT_TRUE(defaults.protection_scope.empty());
+  EXPECT_TRUE(all.protect_all);
+  EXPECT_TRUE(all.scope.empty());
+  const FlowOptions defaults = FlowOptionsFor(all.guard, all.effort, all.scope);
+  EXPECT_TRUE(defaults.synth.protect_all);
+  EXPECT_TRUE(defaults.synth.protection_scope.empty());
 }
 
 // ------------------------------------------------------------------ NSGA-II
@@ -622,12 +629,6 @@ TEST(Optimizer, DaemonFrontIsByteIdenticalToInProcess) {
   server.Start();
   {
     ServiceClient client(server_options.listen_address);
-
-    // Client-side search, daemon-evaluated candidates.
-    DaemonEvaluator remote(client, "cmb", ti, config);
-    const std::string via_daemon = EncodeParetoFrontJson(
-        "cmb", options, RunMaskingOptimizer(remote, options));
-    EXPECT_EQ(local, via_daemon);
 
     // Whole search server-side via optimize_masking.
     ServiceRequest request;
