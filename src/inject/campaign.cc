@@ -1,14 +1,18 @@
 #include "inject/campaign.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "bdd/bdd.h"
 #include "bdd/bdd_util.h"
 #include "map/mapped_bdd.h"
 #include "sim/batch_sim.h"
+#include "sim/lane_patterns.h"
 #include "sta/sta.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -49,51 +53,60 @@ struct SiteContext {
   std::vector<bool> sensitized;
 };
 
-// Everything trial t injects and applies, regenerated identically by the
-// workers and by the sequential reduction (so the parallel phase only has to
-// store a small outcome slot per trial).
+// Draws trial t into `lane` of pattern word `word` and returns its fault —
+// the one generator of the campaign: the batched workers, the scalar path
+// and the escape-record reduction all regenerate a trial through it, so the
+// parallel phase only has to store a small outcome slot per trial.
+DelayFault DrawTrial(LanePatterns& patterns, std::size_t word, int lane,
+                     const InjectOptions& options, double delta, GateId site,
+                     const SiteContext& ctx, std::size_t trial,
+                     std::size_t vector_index) {
+  Rng rng = Rng::ForStream(options.seed, trial);
+  DelayFault fault;
+  fault.site = site;
+  fault.delta = delta;
+  fault.kind = options.fault_kind;
+  if (vector_index == 0 && !ctx.sensitized.empty()) {
+    // The site's opening shot: the precomputed robust test pair — a single
+    // transition racing down the exact speed-path the fault slows.
+    patterns.SetNext(word, lane, ctx.sensitized);
+    patterns.CopyNext(word, lane, ctx.head_input);
+  } else {
+    patterns.DrawNext(rng, word, lane);
+    // Even vector indices are targeted: flip only the head input of the
+    // worst path through the site under an otherwise random pattern. Odd
+    // indices are fully random pattern pairs (negative controls and glitch
+    // hunting).
+    if (ctx.head_input >= 0 && vector_index % 2 == 0) {
+      patterns.CopyNext(word, lane, ctx.head_input);
+    } else {
+      patterns.DrawPrevious(rng, word, lane);
+    }
+  }
+  if (options.fault_kind == FaultKind::kTransient) {
+    fault.transition_index = rng.Below(kTransientIndexRange);
+  }
+  return fault;
+}
+
+// Trial t through DrawTrial as one fault plus one pattern pair, for the
+// scalar engine and escape records.
 struct TrialSetup {
   DelayFault fault;
   std::vector<bool> previous;
   std::vector<bool> next;
 };
 
-TrialSetup MakeTrialSetup(std::size_t num_inputs, const InjectOptions& options,
+TrialSetup MakeTrialSetup(LanePatterns& patterns, const InjectOptions& options,
                           double delta, GateId site, const SiteContext& ctx,
                           std::size_t trial, std::size_t vector_index) {
-  Rng rng = Rng::ForStream(options.seed, trial);
+  patterns.Start(0);
   TrialSetup s;
-  s.fault.site = site;
-  s.fault.delta = delta;
-  s.fault.kind = options.fault_kind;
-  if (vector_index == 0 && !ctx.sensitized.empty()) {
-    // The site's opening shot: the precomputed robust test pair — a single
-    // transition racing down the exact speed-path the fault slows.
-    s.next = ctx.sensitized;
-    s.previous = s.next;
-    const std::size_t h = static_cast<std::size_t>(ctx.head_input);
-    s.previous[h] = !s.previous[h];
-  } else {
-    s.next.resize(num_inputs);
-    for (std::size_t i = 0; i < num_inputs; ++i) s.next[i] = rng.Chance(0.5);
-    // Even vector indices are targeted: flip only the head input of the
-    // worst path through the site under an otherwise random pattern. Odd
-    // indices are fully random pattern pairs (negative controls and glitch
-    // hunting).
-    if (ctx.head_input >= 0 && vector_index % 2 == 0) {
-      s.previous = s.next;
-      const std::size_t h = static_cast<std::size_t>(ctx.head_input);
-      s.previous[h] = !s.previous[h];
-    } else {
-      s.previous.resize(num_inputs);
-      for (std::size_t i = 0; i < num_inputs; ++i) {
-        s.previous[i] = rng.Chance(0.5);
-      }
-    }
-  }
-  if (options.fault_kind == FaultKind::kTransient) {
-    s.fault.transition_index = rng.Below(kTransientIndexRange);
-  }
+  s.fault = DrawTrial(patterns, 0, 0, options, delta, site, ctx, trial,
+                      vector_index);
+  patterns.Finish(0);
+  s.previous = LanePatterns::Unpack(patterns.previous(0), 0);
+  s.next = LanePatterns::Unpack(patterns.next(0), 0);
   return s;
 }
 
@@ -614,6 +627,7 @@ InjectionCampaignResult RunInjectionCampaign(
   std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
 
   const auto run_trials_scalar = [&](std::size_t lo, std::size_t hi) {
+    LanePatterns patterns(prot.NumInputs());
     for (std::size_t t = lo; t < hi; ++t) {
       // Cancellation: skip instead of throwing across the pool; the
       // post-pool Check() raises the typed error after the workers drain.
@@ -625,7 +639,7 @@ InjectionCampaignResult RunInjectionCampaign(
       const std::size_t site_index = t / options.vectors_per_site;
       const std::size_t vector_index = t % options.vectors_per_site;
       const TrialSetup s =
-          MakeTrialSetup(prot.NumInputs(), options, delta, sites[site_index],
+          MakeTrialSetup(patterns, options, delta, sites[site_index],
                          contexts[site_index], t, vector_index);
       std::size_t escaping = 0;
       std::size_t taps = 0;
@@ -639,79 +653,97 @@ InjectionCampaignResult RunInjectionCampaign(
     }
   };
 
+  // Outputs whose errors count as escapes, by output index.
+  std::vector<GateId> judged_drivers;
+  std::vector<std::uint32_t> judged_index;
+  for (std::size_t i = 0; i < prot.NumOutputs(); ++i) {
+    if (std::binary_search(options.waived_outputs.begin(),
+                           options.waived_outputs.end(), i)) {
+      continue;
+    }
+    judged_drivers.push_back(prot.output(i).driver);
+    judged_index.push_back(static_cast<std::uint32_t>(i));
+  }
+
+  // A batched worker's reusable state: one engine and one pattern word per
+  // worker thread rather than per chunk.
+  struct Worker {
+    explicit Worker(const MappedNetlist& net)
+        : patterns(net.NumInputs()), engine(net) {}
+    LanePatterns patterns;
+    BatchEventSim engine;
+    BatchEventSimConfig cfg;
+  };
+  ScratchPool<Worker> workers;
+  const auto make_worker = [&] { return std::make_unique<Worker>(prot); };
+
   // Batched path: each lane carries one (fault, vector) trial — a sparse
   // extra-delay override for a permanent fault, a per-lane transient for a
-  // one-shot edge — and lane classification mirrors ClassifyFaultTrial.
+  // one-shot edge — and each word is classified a word at a time, mirroring
+  // ClassifyFaultTrial: an escape at the first judged output in error, else
+  // masked when some tap saw a late y under a raised e.
   const auto run_trials_batched = [&](std::size_t lo, std::size_t hi) {
     const auto width = static_cast<std::size_t>(options.batch_width);
-    BatchEventSim engine(prot);
-    std::vector<TrialSetup> setups(width);
-    std::vector<std::uint64_t> prev_words(prot.NumInputs());
-    std::vector<std::uint64_t> next_words(prot.NumInputs());
+    auto w = workers.Acquire(make_worker);
+    BatchEventSimConfig& cfg = w->cfg;
+    cfg.clock = protected_clock;
+    std::array<std::uint32_t, kBatchLanes> taps{};
     for (std::size_t base = lo; base < hi; base += width) {
       if (options.cancel != nullptr &&
           options.cancel->Status() != ErrorCode::kOk) {
         return;
       }
-      const int count = static_cast<int>(std::min(width, hi - base));
+      cfg.lanes = static_cast<int>(std::min(width, hi - base));
       if (options.cancel != nullptr) {
-        options.cancel->ConsumeWork(static_cast<std::uint64_t>(count));
+        options.cancel->ConsumeWork(static_cast<std::uint64_t>(cfg.lanes));
       }
-      BatchEventSimConfig cfg;
-      cfg.clock = protected_clock;
-      cfg.lanes = count;
-      std::fill(prev_words.begin(), prev_words.end(), 0);
-      std::fill(next_words.begin(), next_words.end(), 0);
-      for (int l = 0; l < count; ++l) {
+      cfg.extra_overrides.clear();
+      cfg.transient_faults.clear();
+      w->patterns.Start(0);
+      for (int l = 0; l < cfg.lanes; ++l) {
         const std::size_t t = base + static_cast<std::size_t>(l);
         const std::size_t site_index = t / options.vectors_per_site;
-        const std::size_t vector_index = t % options.vectors_per_site;
-        TrialSetup& s = setups[static_cast<std::size_t>(l)];
-        s = MakeTrialSetup(prot.NumInputs(), options, delta,
-                           sites[site_index], contexts[site_index], t,
-                           vector_index);
-        if (s.fault.kind == FaultKind::kPermanentDelta) {
-          cfg.extra_overrides.push_back(
-              BatchDelayOverride{l, s.fault.site, s.fault.delta});
+        const DelayFault f = DrawTrial(
+            w->patterns, 0, l, options, delta, sites[site_index],
+            contexts[site_index], t, t % options.vectors_per_site);
+        if (f.kind == FaultKind::kPermanentDelta) {
+          cfg.extra_overrides.push_back(BatchDelayOverride{l, f.site, f.delta});
         } else {
-          cfg.transient_faults.push_back(BatchTransientFault{
-              l, s.fault.site, s.fault.transition_index, s.fault.delta});
-        }
-        for (std::size_t v = 0; v < s.previous.size(); ++v) {
-          if (s.previous[v]) prev_words[v] |= 1ull << l;
-          if (s.next[v]) next_words[v] |= 1ull << l;
+          cfg.transient_faults.push_back(
+              BatchTransientFault{l, f.site, f.transition_index, f.delta});
         }
       }
-      const BatchEventSimResult& sim = engine.Run(prev_words, next_words, cfg);
+      w->patterns.Finish(0);
+      const BatchEventSimResult& sim =
+          w->engine.Run(w->patterns.previous(0), w->patterns.next(0), cfg);
       chunk_words[lo / options.chunk] += 1;
-      chunk_lanes[lo / options.chunk] += static_cast<std::uint64_t>(count);
-      for (int l = 0; l < count; ++l) {
-        const std::size_t t = base + static_cast<std::size_t>(l);
-        Slot slot;
-        bool escaped = false;
-        for (std::size_t i = 0; i < prot.NumOutputs() && !escaped; ++i) {
-          if (!sim.TimingErrorAt(prot.output(i).driver, l)) continue;
-          if (std::binary_search(options.waived_outputs.begin(),
-                                 options.waived_outputs.end(), i)) {
-            continue;
-          }
-          slot.outcome = InjectOutcome::kEscape;
-          slot.escaping_output = static_cast<std::uint32_t>(i);
-          escaped = true;
+      chunk_lanes[lo / options.chunk] += static_cast<std::uint64_t>(cfg.lanes);
+
+      std::uint64_t escaped = 0;
+      for (std::size_t i = 0; i < judged_drivers.size(); ++i) {
+        const std::uint64_t errors = sim.TimingErrorWord(judged_drivers[i]);
+        for (std::uint64_t e = errors & ~escaped; e != 0; e &= e - 1) {
+          slots[base + static_cast<std::size_t>(std::countr_zero(e))] =
+              Slot{InjectOutcome::kEscape, judged_index[i], 0};
         }
-        if (!escaped) {
-          std::uint32_t taps = 0;
-          for (const ProtectedCircuit::Tap& tap : protected_circuit.taps) {
-            if (sim.SettleAt(tap.original, l) > clock + kEps &&
-                sim.SampledAt(tap.indicator, l)) {
-              ++taps;
-            }
+        escaped |= errors;
+      }
+      taps.fill(0);
+      for (const ProtectedCircuit::Tap& tap : protected_circuit.taps) {
+        for (std::uint64_t e = sim.sampled[tap.indicator] & sim.lane_mask &
+                               ~escaped;
+             e != 0; e &= e - 1) {
+          const int l = std::countr_zero(e);
+          if (sim.SettleAt(tap.original, l) > clock + kEps) {
+            ++taps[static_cast<std::size_t>(l)];
           }
-          slot.masked_taps = taps;
-          slot.outcome =
-              taps > 0 ? InjectOutcome::kMasked : InjectOutcome::kBenign;
         }
-        slots[t] = slot;
+      }
+      for (int l = 0; l < cfg.lanes; ++l) {
+        if ((escaped >> l) & 1u) continue;
+        const std::uint32_t n = taps[static_cast<std::size_t>(l)];
+        slots[base + static_cast<std::size_t>(l)] =
+            Slot{n > 0 ? InjectOutcome::kMasked : InjectOutcome::kBenign, 0, n};
       }
     }
   };
@@ -731,6 +763,7 @@ InjectionCampaignResult RunInjectionCampaign(
 
   // Sequential reduction in trial order — deterministic at any thread count.
   r.trials = trials;
+  LanePatterns record_patterns(prot.NumInputs());
   for (std::size_t t = 0; t < trials; ++t) {
     switch (slots[t].outcome) {
       case InjectOutcome::kBenign:
@@ -745,8 +778,8 @@ InjectionCampaignResult RunInjectionCampaign(
         if (r.escape_records.size() >= options.max_escape_records) break;
         const std::size_t site_index = t / options.vectors_per_site;
         const std::size_t vector_index = t % options.vectors_per_site;
-        const TrialSetup s =
-            MakeTrialSetup(prot.NumInputs(), options, delta, sites[site_index],
+        TrialSetup s =
+            MakeTrialSetup(record_patterns, options, delta, sites[site_index],
                            contexts[site_index], t, vector_index);
         EscapeRecord rec;
         rec.trial = t;
@@ -756,8 +789,8 @@ InjectionCampaignResult RunInjectionCampaign(
         rec.transition_index = s.fault.transition_index;
         rec.delta = s.fault.delta;
         rec.campaign_delta = s.fault.delta;
-        rec.previous = s.previous;
-        rec.next = s.next;
+        rec.previous = std::move(s.previous);
+        rec.next = std::move(s.next);
         rec.output_index = slots[t].escaping_output;
         rec.output_name = prot.output(rec.output_index).name;
         r.escape_records.push_back(std::move(rec));

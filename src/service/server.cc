@@ -186,6 +186,10 @@ void SpeedmaskServer::Start() {
     worker_contexts_.push_back(std::make_unique<WorkerContext>());
     free_workers_.push_back(worker_contexts_.back().get());
   }
+  // Spawned and assigned under state_mutex_: a Shutdown reached through the
+  // accept loop sets stopped_ under the same mutex, so Wait, which reads
+  // accept_thread_ once it sees stopped_, is ordered after this assignment.
+  std::lock_guard<std::mutex> lock(state_mutex_);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 

@@ -61,6 +61,43 @@ TimingInfo AnalyzeTiming(const MappedNetlist& net, double clock,
   return t;
 }
 
+MaxArrivalPass::MaxArrivalPass(const MappedNetlist& net) {
+  const std::size_t n = net.NumElements();
+  first_pin_.reserve(n + 1);
+  first_pin_.push_back(0);
+  for (GateId id = 0; id < n; ++id) {
+    if (!net.IsInput(id)) {
+      const Cell& cell = net.cell(id);
+      const auto& fin = net.fanins(id);
+      for (int p = 0; p < cell.num_pins(); ++p) {
+        pin_fanin_.push_back(fin[static_cast<std::size_t>(p)]);
+        pin_delay_.push_back(cell.pin_delay(p));
+      }
+    }
+    first_pin_.push_back(static_cast<std::uint32_t>(pin_fanin_.size()));
+  }
+}
+
+void MaxArrivalPass::Run(const double* delay_scale, double* arrival) const {
+  const std::size_t n = num_elements();
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::uint32_t lo = first_pin_[id];
+    const std::uint32_t hi = first_pin_[id + 1];
+    if (lo == hi) {
+      arrival[id] = 0.0;  // primary input or tie cell
+      continue;
+    }
+    // The same operations in the same order as AnalyzeTiming, so the
+    // doubles agree bit for bit.
+    double max_a = -std::numeric_limits<double>::infinity();
+    for (std::uint32_t p = lo; p < hi; ++p) {
+      const double d = pin_delay_[p] * delay_scale[id];
+      max_a = std::max(max_a, arrival[pin_fanin_[p]] + d);
+    }
+    arrival[id] = max_a;
+  }
+}
+
 std::vector<std::size_t> CriticalOutputs(const MappedNetlist& net,
                                          const TimingInfo& timing,
                                          double guard_band) {

@@ -6,6 +6,7 @@
 // pruning; the masking flow consumes slack to find critical outputs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "map/mapped_netlist.h"
@@ -30,6 +31,29 @@ struct TimingInfo {
 // (scale > 1) studies.
 TimingInfo AnalyzeTiming(const MappedNetlist& net, double clock = -1,
                          const std::vector<double>* delay_scale = nullptr);
+
+// The forward max-arrival pass of AnalyzeTiming alone, over a flat copy of
+// the netlist's fanins and pin delays taken at construction — the per-trial
+// STA of the Monte-Carlo engine, which reads only max arrivals. Run writes
+// arrivals bit-identical to AnalyzeTiming(net, clock, delay_scale)
+// .max_arrival and allocates nothing. Immutable after construction, so one
+// instance serves any number of threads.
+class MaxArrivalPass {
+ public:
+  explicit MaxArrivalPass(const MappedNetlist& net);
+
+  std::size_t num_elements() const { return first_pin_.size() - 1; }
+
+  // `delay_scale` and `arrival` hold one entry per element.
+  void Run(const double* delay_scale, double* arrival) const;
+
+ private:
+  // Element id's pins are [first_pin_[id], first_pin_[id + 1]); primary
+  // inputs and tie cells have none and arrive at 0.
+  std::vector<std::uint32_t> first_pin_;
+  std::vector<GateId> pin_fanin_;
+  std::vector<double> pin_delay_;
+};
 
 // Outputs whose driver has slack < guard_band * clock, i.e. the "critical
 // primary outputs" of the paper (speed-paths within guard_band of Δ

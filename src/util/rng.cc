@@ -5,13 +5,6 @@
 #include "util/check.h"
 
 namespace sm {
-namespace {
-
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t SplitMix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -38,18 +31,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::Below(std::uint64_t bound) {
   SM_REQUIRE(bound > 0, "Rng::Below bound must be positive");
   // Lemire-style rejection: threshold is 2^64 mod bound.
@@ -65,17 +46,6 @@ std::int64_t Rng::Range(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t span =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   return lo + static_cast<std::int64_t>(Below(span));
-}
-
-double Rng::Uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return Uniform() < p;
 }
 
 double Rng::Normal() {

@@ -26,7 +26,17 @@ class Rng {
   // thread count or evaluation order.
   static Rng ForStream(std::uint64_t seed, std::uint64_t stream);
 
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, bound); bound must be > 0. Uses rejection sampling so the
   // distribution is exactly uniform.
@@ -35,11 +45,16 @@ class Rng {
   // Uniform in [lo, hi] inclusive.
   std::int64_t Range(std::int64_t lo, std::int64_t hi);
 
-  // Uniform double in [0, 1).
-  double Uniform();
+  // Uniform double in [0, 1): the 53 high bits of one draw.
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
-  // Bernoulli with probability p.
-  bool Chance(double p);
+  // Bernoulli with probability p. Inline: pattern generation draws one per
+  // input bit.
+  bool Chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return Uniform() < p;
+  }
 
   // Standard normal N(0, 1) via Box–Muller (no cached spare, so the number
   // of uniforms consumed per call is fixed — required for counter-based
@@ -59,6 +74,10 @@ class Rng {
   std::vector<std::size_t> Sample(std::size_t n, std::size_t k);
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,6 +49,50 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
+};
+
+// Scratch state for ParallelFor bodies, one object per worker rather than
+// one per chunk: Acquire hands out a free object (building one with `make`
+// when none is free) and the lease gives it back when it goes out of scope.
+// At most as many objects are built as chunks ever run at once, i.e. one per
+// worker thread. The pool must outlive its leases.
+template <typename T>
+class ScratchPool {
+ public:
+  class Lease {
+   public:
+    Lease(ScratchPool* pool, std::unique_ptr<T> object)
+        : pool_(pool), object_(std::move(object)) {}
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(pool_->mutex_);
+      pool_->free_.push_back(std::move(object_));
+    }
+    T& operator*() const { return *object_; }
+    T* operator->() const { return object_.get(); }
+
+   private:
+    ScratchPool* pool_;
+    std::unique_ptr<T> object_;
+  };
+
+  template <typename Make>
+  Lease Acquire(const Make& make) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        std::unique_ptr<T> object = std::move(free_.back());
+        free_.pop_back();
+        return Lease(this, std::move(object));
+      }
+    }
+    return Lease(this, make());
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<T>> free_;
 };
 
 }  // namespace sm

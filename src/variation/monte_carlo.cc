@@ -1,11 +1,14 @@
 #include "variation/monte_carlo.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "sim/batch_sim.h"
 #include "sim/event_sim.h"
+#include "sim/lane_patterns.h"
 #include "sta/sta.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -34,24 +37,10 @@ struct TrialOutcome {
   double log_weight = 0;
 };
 
-// A violating trial's deferred classification work: the pattern pairs the
-// scalar path would simulate one by one, kept with the trial's delay plane
-// so a chunk's trials can be packed into 64-lane batched runs. The per-
-// transition counts come back lane by lane and the reduction replays the
-// scalar early-exit bookkeeping, so the outcome is bit-identical.
-struct TrialPlan {
-  std::size_t trial = 0;
-  std::vector<double> scale;
-  std::vector<std::vector<bool>> prev;
-  std::vector<std::vector<bool>> next;
-  std::vector<std::uint32_t> err_counts;
-  std::vector<std::uint32_t> tap_counts;
-};
-
-bool AnyOutputLate(const MappedNetlist& net, const TimingInfo& timing,
-                   double deadline) {
-  for (const auto& o : net.outputs()) {
-    if (timing.max_arrival[o.driver] > deadline + kEps) return true;
+bool AnyLate(const std::vector<GateId>& drivers, const double* arrival,
+             double deadline) {
+  for (const GateId d : drivers) {
+    if (arrival[d] > deadline + kEps) return true;
   }
   return false;
 }
@@ -78,9 +67,9 @@ bool AnyOutputLate(const MappedNetlist& net, const TimingInfo& timing,
 // classification errs on the pessimistic side, like STA itself.
 struct EscapeScanner {
   const MappedNetlist& net;
-  const TimingInfo& scaled;    // trial STA of the same netlist
+  const double* arrival;       // trial max arrivals of the same netlist
   const TimingInfo& nominal;   // unscaled STA of the same netlist
-  const std::vector<double>& scale;
+  const double* scale;
   double scaled_deadline = 0;
   double nominal_threshold = 0;  // Δ_y: nominally-longer d0 paths are covered
   std::size_t budget = 0;
@@ -95,7 +84,7 @@ struct EscapeScanner {
       return false;
     }
     --budget;
-    if (scaled.max_arrival[id] + s_suffix <= scaled_deadline + kEps) {
+    if (arrival[id] + s_suffix <= scaled_deadline + kEps) {
       return false;  // nothing below is scaled-late
     }
     if (covered_mode &&
@@ -123,8 +112,8 @@ struct EscapeScanner {
 // (kInvalidGate when the path starts at a tie cell). Toggling this input
 // launches a transition down the exact path STA blamed — random transitions
 // almost never sensitize a specific speed-path, targeted ones often do.
-GateId TrialPathHead(const MappedNetlist& net, const TimingInfo& timing,
-                     const std::vector<double>& scale, GateId driver) {
+GateId TrialPathHead(const MappedNetlist& net, const double* arrival,
+                     const double* scale, GateId driver) {
   GateId at = driver;
   while (!net.IsInput(at)) {
     const Cell& cell = net.cell(at);
@@ -134,7 +123,7 @@ GateId TrialPathHead(const MappedNetlist& net, const TimingInfo& timing,
     double best = -std::numeric_limits<double>::infinity();
     for (int p = 0; p < cell.num_pins(); ++p) {
       const GateId f = fin[static_cast<std::size_t>(p)];
-      const double a = timing.max_arrival[f] + cell.pin_delay(p) * scale[at];
+      const double a = arrival[f] + cell.pin_delay(p) * scale[at];
       if (a > best) {
         best = a;
         next = f;
@@ -183,15 +172,39 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
                                                    nullptr);
   for (const auto& tap : protected_circuit.taps) tap_of[tap.mux] = &tap;
 
-  // Variation is sampled once per trial over the protected netlist (the
-  // superset); the copied original gates share their copy's draw so C and
-  // C ∪ C̃ see the same silicon. The map is by name — integration preserves
-  // the original gate names.
+  // Integration copies C into the protected netlist verbatim — same cells,
+  // same pin order, names preserved — and the copies take the trial's draws
+  // from the one sample over the protected netlist, so C's arrivals under a
+  // trial are exactly its copy's. One STA of the protected netlist therefore
+  // judges both circuits: C at its output drivers' copies, C ∪ C̃ at its own
+  // output drivers.
   std::vector<GateId> orig_in_prot(original.NumElements(), kInvalidGate);
   for (GateId id = 0; id < original.NumElements(); ++id) {
-    orig_in_prot[id] = prot.FindByName(original.element(id).name);
+    const MappedNetlist::Element& e = original.element(id);
+    const GateId copy = prot.FindByName(e.name);
+    bool verbatim = copy != kInvalidGate && prot.element(copy).cell == e.cell &&
+                    prot.fanins(copy).size() == e.fanins.size();
+    for (std::size_t p = 0; verbatim && p < e.fanins.size(); ++p) {
+      verbatim = prot.fanins(copy)[p] == orig_in_prot[e.fanins[p]];
+    }
+    SM_CHECK(verbatim, "protected netlist lacks a verbatim copy of original "
+                       "element " << e.name);
+    orig_in_prot[id] = copy;
   }
+  std::vector<GateId> original_drivers;
+  for (const auto& o : original.outputs()) {
+    original_drivers.push_back(orig_in_prot[o.driver]);
+  }
+  std::vector<GateId> protected_drivers;
+  for (const auto& o : prot.outputs()) protected_drivers.push_back(o.driver);
+  std::vector<int> input_index(prot.NumElements(), -1);
+  for (std::size_t i = 0; i < prot.NumInputs(); ++i) {
+    input_index[prot.inputs()[i]] = static_cast<int>(i);
+  }
+
   const DelayScaleSampler sampler(prot, options.model);
+  const MaxArrivalPass sta(prot);
+  const std::size_t num_elements = prot.NumElements();
 
   std::vector<double> shift;
   if (options.importance_sampling) {
@@ -201,10 +214,10 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     // a log-variance proportional to the gate count — on thousand-gate
     // circuits every likelihood ratio collapses to ~0 and the estimator
     // dies. With ‖μ‖ fixed, E[w²] = exp(‖μ‖²) independent of size.)
-    shift.assign(prot.NumElements(), 0.0);
+    shift.assign(num_elements, 0.0);
     const double window = options.is_guard_fraction * prot_clock;
     double norm2 = 0;
-    for (GateId id = 0; id < prot.NumElements(); ++id) {
+    for (GateId id = 0; id < num_elements; ++id) {
       if (prot.IsInput(id)) continue;
       if (!std::isfinite(prot_nominal.required[id])) continue;  // dangling
       const double score = window - prot_nominal.Slack(id);
@@ -219,53 +232,68 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     }
   }
 
+  // A worker's reusable buffers: after the first chunks have grown them, a
+  // trial allocates nothing.
+  struct Worker {
+    explicit Worker(std::size_t num_inputs) : patterns(num_inputs) {}
+    std::vector<double> arrival;
+    // Delay planes of the chunk's trials awaiting simulation, plane k at
+    // [k * num_elements, (k + 1) * num_elements); the next trial samples
+    // into the first free one.
+    std::vector<double> planes;
+    std::vector<std::size_t> pending;  // their trial indices
+    std::vector<std::size_t> late_outputs;
+    // Classification pattern pairs: transition j of pending trial k is lane
+    // (k * transitions + j) of the flattened word sequence.
+    LanePatterns patterns;
+    // Per flattened lane: output errors and e·(y ⊕ ỹ) taps observed.
+    std::vector<std::uint32_t> err_counts;
+    std::vector<std::uint32_t> tap_counts;
+    std::unique_ptr<BatchEventSim> engine;  // built on first use
+  };
+  ScratchPool<Worker> workers;
+  const auto make_worker = [&] {
+    auto w = std::make_unique<Worker>(prot.NumInputs());
+    w->arrival.resize(num_elements);
+    return w;
+  };
+
   std::vector<TrialOutcome> outcomes(options.trials);
-  // With `plan == nullptr` the trial is classified inline through the scalar
-  // engine (the original path, kept as the differential oracle). With a plan
-  // the simulations are deferred: the same RNG stream generates the same
-  // pattern pairs, which the caller packs into batched runs. The only
-  // divergence is that the plan generates every transition while the scalar
-  // loop stops generating after the first residual one — those draws come
-  // from the trial's private classify stream, so nothing downstream shifts.
-  const auto run_trial = [&](std::size_t t, TrialPlan* plan) {
+  const int transitions = std::max(0, options.classify_transitions);
+  const auto width = static_cast<std::size_t>(options.batch_width);
+
+  // Samples trial t into `scale`, runs its one STA and the escape scan.
+  // Returns true when the trial needs classification patterns; its late
+  // outputs are then in w.late_outputs and its arrivals in w.arrival.
+  const auto time_trial = [&](std::size_t t, Worker& w, double* scale) {
     // Cancellation: skip instead of throwing across the pool; the post-pool
     // Check() raises the typed error once every worker has drained.
     if (options.cancel != nullptr && options.cancel->Status() != ErrorCode::kOk) {
-      return;
+      return false;
     }
     if (options.cancel != nullptr) options.cancel->ConsumeWork(1);
     TrialOutcome& out = outcomes[t];
-    ShiftedSample sample = sampler.SampleShifted(options.seed, t, shift);
-    out.log_weight = sample.log_weight;
-
-    std::vector<double> orig_scale(original.NumElements(), 1.0);
-    for (GateId id = 0; id < original.NumElements(); ++id) {
-      if (orig_in_prot[id] != kInvalidGate) {
-        orig_scale[id] = sample.scale[orig_in_prot[id]];
-      }
-    }
-
-    const TimingInfo t_orig = AnalyzeTiming(original, clock, &orig_scale);
-    out.violates_original = AnyOutputLate(original, t_orig, clock);
-
-    const TimingInfo t_prot = AnalyzeTiming(prot, prot_clock, &sample.scale);
-    out.violates_protected = AnyOutputLate(prot, t_prot, prot_clock);
-    if (!out.violates_protected) return;  // STA bounds the simulator: safe
+    out.log_weight = sampler.SampleShiftedInto(options.seed, t, shift, scale);
+    double* arrival = w.arrival.data();
+    sta.Run(scale, arrival);
+    out.violates_original = AnyLate(original_drivers, arrival, clock);
+    out.violates_protected = AnyLate(protected_drivers, arrival, prot_clock);
+    if (!out.violates_protected) return false;  // STA bounds the simulator
 
     // Structural escape scan over every late output. Late unprotected
     // outputs escape outright; through a mux, the select and d1 subtrees
     // must be clean and d0 may only be late along nominally-long (covered)
     // paths. The d0 branch compares nominal delays without the mux pin —
     // Δ_y is measured at the original circuit's outputs.
-    std::vector<std::size_t> late_outputs;
-    EscapeScanner scanner{prot, t_prot, prot_nominal, sample.scale};
+    w.late_outputs.clear();
+    EscapeScanner scanner{prot, arrival, prot_nominal, scale};
     scanner.scaled_deadline = prot_clock;
     scanner.nominal_threshold = coverage_target;
     scanner.budget = options.scan_budget;
     for (std::size_t oi = 0; oi < prot.NumOutputs(); ++oi) {
-      const GateId driver = prot.output(oi).driver;
-      if (t_prot.max_arrival[driver] <= prot_clock + kEps) continue;
-      late_outputs.push_back(oi);
+      const GateId driver = protected_drivers[oi];
+      if (arrival[driver] <= prot_clock + kEps) continue;
+      w.late_outputs.push_back(oi);
       if (out.residual) continue;  // already classified; keep listing
       const ProtectedCircuit::Tap* tap = tap_of[driver];
       if (tap == nullptr) {
@@ -277,95 +305,76 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
       for (int p = 0; p < mux.num_pins() && !out.residual; ++p) {
         const double d = mux.pin_delay(p);
         scanner.covered_mode = p == 1;  // pins are (select e, d0 y, d1 ỹ)
-        out.residual =
-            scanner.Visit(fin[static_cast<std::size_t>(p)],
-                          d * sample.scale[driver],
-                          scanner.covered_mode ? 0.0 : d);
+        out.residual = scanner.Visit(fin[static_cast<std::size_t>(p)],
+                                     d * scale[driver],
+                                     scanner.covered_mode ? 0.0 : d);
       }
     }
     out.scan_truncated = scanner.truncated;
-    if (options.classify_transitions <= 0) return;
-
-    // Excite the violation under the trial delays. Transitions alternate
-    // between targeted single-input toggles down the arrival-defining paths
-    // of the late outputs (these sensitize the blamed speed-path with high
-    // probability) and fully random pattern pairs (these catch escapes STA
-    // blamed on one output but that surface on another).
-    Rng rng = Rng::ForStream(options.seed, t + kClassifyStreamOffset);
-    EventSimConfig cfg;
-    cfg.clock = prot_clock;
-    if (plan == nullptr) cfg.delay_scale = sample.scale;
-    for (int i = 0; i < options.classify_transitions; ++i) {
-      std::vector<bool> next(prot.NumInputs());
-      for (std::size_t v = 0; v < next.size(); ++v) next[v] = rng.Chance(0.5);
-      std::vector<bool> prev;
-      const bool targeted = i % 2 == 0 && !late_outputs.empty();
-      if (targeted) {
-        const std::size_t oi =
-            late_outputs[static_cast<std::size_t>(i / 2) %
-                         late_outputs.size()];
-        const GateId head = TrialPathHead(prot, t_prot, sample.scale,
-                                          prot.output(oi).driver);
-        const int pi = head == kInvalidGate ? -1 : prot.InputIndex(head);
-        prev = next;
-        if (pi >= 0) {
-          prev[static_cast<std::size_t>(pi)] =
-              !prev[static_cast<std::size_t>(pi)];
-        }
-      } else {
-        prev.resize(prot.NumInputs());
-        for (std::size_t v = 0; v < prev.size(); ++v) {
-          prev[v] = rng.Chance(0.5);
-        }
-      }
-      if (plan != nullptr) {
-        plan->prev.push_back(std::move(prev));
-        plan->next.push_back(std::move(next));
-        continue;
-      }
-      const EventSimResult sim = SimulateTransition(prot, prev, next, cfg);
-      for (const auto& o : prot.outputs()) {
-        if (sim.TimingErrorAt(o.driver)) {
-          ++out.residual_events;
-          out.residual = true;
-        }
-      }
-      for (const auto& tap : protected_circuit.taps) {
-        // The copied original output is judged at the raw clock; with the
-        // indicator raised the mux absorbed the error — the paper's
-        // e_i·(y_i ⊕ ỹ_i) wearout events.
-        if (sim.sampled[tap.indicator] &&
-            sim.settle_at[tap.original] > clock + kEps) {
-          ++out.masked_events;
-        }
-      }
-      if (out.residual) break;  // classified; spare the remaining budget
-    }
-    if (plan != nullptr && !plan->prev.empty()) {
-      plan->trial = t;
-      plan->scale = std::move(sample.scale);
-      return;
-    }
-    out.excited = out.masked_events > 0 || out.residual_events > 0;
+    return transitions > 0;
   };
 
-  // Counts one lane of a batched run against the trial's outcome slots —
-  // the loop bodies match the scalar path's output/tap scans above.
-  const auto count_lane = [&](const BatchEventSimResult& sim, int lane,
-                              TrialPlan& plan, std::size_t transition) {
-    std::uint32_t errs = 0;
-    for (const auto& o : prot.outputs()) {
-      if (sim.TimingErrorAt(o.driver, lane)) ++errs;
+  // Writes classification transition i of the trial just timed into `lane`
+  // of pattern word `word`. Transitions alternate between targeted
+  // single-input toggles down the arrival-defining paths of the late outputs
+  // (these sensitize the blamed speed-path with high probability) and fully
+  // random pattern pairs (these catch escapes STA blamed on one output but
+  // that surface on another).
+  const auto draw_transition = [&](Rng& rng, Worker& w, const double* scale,
+                                   int i, std::size_t word, int lane) {
+    w.patterns.DrawNext(rng, word, lane);
+    if (i % 2 == 0 && !w.late_outputs.empty()) {
+      const std::size_t oi =
+          w.late_outputs[static_cast<std::size_t>(i / 2) %
+                         w.late_outputs.size()];
+      const GateId head = TrialPathHead(prot, w.arrival.data(), scale,
+                                        protected_drivers[oi]);
+      w.patterns.CopyNext(word, lane,
+                          head == kInvalidGate ? -1 : input_index[head]);
+    } else {
+      w.patterns.DrawPrevious(rng, word, lane);
     }
-    std::uint32_t taps = 0;
-    for (const auto& tap : protected_circuit.taps) {
-      if (sim.SampledAt(tap.indicator, lane) &&
-          sim.SettleAt(tap.original, lane) > clock + kEps) {
-        ++taps;
+  };
+
+  // The scalar path — the differential oracle for the batched one: each
+  // transition is drawn into a single lane, unpacked and simulated by the
+  // scalar engine, stopping at the first one that shows a residual error.
+  const auto run_chunk_scalar = [&](std::size_t lo, std::size_t hi) {
+    auto w = workers.Acquire(make_worker);
+    std::vector<double> scale(num_elements);
+    for (std::size_t t = lo; t < hi; ++t) {
+      if (!time_trial(t, *w, scale.data())) continue;
+      TrialOutcome& out = outcomes[t];
+      Rng rng = Rng::ForStream(options.seed, t + kClassifyStreamOffset);
+      EventSimConfig cfg;
+      cfg.clock = prot_clock;
+      cfg.delay_scale = scale;
+      for (int i = 0; i < transitions; ++i) {
+        w->patterns.Start(0);
+        draw_transition(rng, *w, scale.data(), i, 0, 0);
+        w->patterns.Finish(0);
+        const EventSimResult sim = SimulateTransition(
+            prot, LanePatterns::Unpack(w->patterns.previous(0), 0),
+            LanePatterns::Unpack(w->patterns.next(0), 0), cfg);
+        for (const GateId d : protected_drivers) {
+          if (sim.TimingErrorAt(d)) {
+            ++out.residual_events;
+            out.residual = true;
+          }
+        }
+        for (const auto& tap : protected_circuit.taps) {
+          // The copied original output is judged at the raw clock; with the
+          // indicator raised the mux absorbed the error — the paper's
+          // e_i·(y_i ⊕ ỹ_i) wearout events.
+          if (sim.sampled[tap.indicator] &&
+              sim.settle_at[tap.original] > clock + kEps) {
+            ++out.masked_events;
+          }
+        }
+        if (out.residual) break;  // classified; spare the remaining budget
       }
+      out.excited = out.masked_events > 0 || out.residual_events > 0;
     }
-    plan.err_counts[transition] = errs;
-    plan.tap_counts[transition] = taps;
   };
 
   // Batched-run telemetry per chunk slot: the packing depends only on the
@@ -375,79 +384,89 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   std::vector<std::uint64_t> chunk_words(num_chunks, 0);
   std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
 
-  const int width = options.batch_width;
   const auto run_chunk_batched = [&](std::size_t lo, std::size_t hi) {
-    // Phase A: STA + escape scan per trial; violating trials leave their
-    // classification patterns and delay plane in a plan.
-    std::vector<TrialPlan> pending;
+    auto w = workers.Acquire(make_worker);
+    // Phase A: sample, STA and escape scan per trial. A violating trial
+    // keeps its delay plane and draws every classification transition
+    // straight into its lanes. Unlike the scalar loop it never stops early;
+    // the extra draws come from the trial's private classify stream, so
+    // nothing downstream shifts.
+    w->pending.clear();
+    std::size_t lanes = 0;
     for (std::size_t t = lo; t < hi; ++t) {
-      TrialPlan plan;
-      run_trial(t, &plan);
-      if (!plan.prev.empty()) pending.push_back(std::move(plan));
-    }
-    if (pending.empty()) return;
-
-    // Phase B: flatten every (trial, transition) into lanes and run the
-    // batched engine `width` lanes at a time. Lanes of one trial share its
-    // delay plane by pointer.
-    struct LaneRef {
-      std::size_t plan_index;
-      std::size_t transition;
-    };
-    std::vector<LaneRef> lanes;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      pending[i].err_counts.assign(pending[i].prev.size(), 0);
-      pending[i].tap_counts.assign(pending[i].prev.size(), 0);
-      for (std::size_t j = 0; j < pending[i].prev.size(); ++j) {
-        lanes.push_back(LaneRef{i, j});
+      const std::size_t slot = w->pending.size();
+      if (w->planes.size() < (slot + 1) * num_elements) {
+        w->planes.resize((slot + 1) * num_elements);
+      }
+      double* scale = w->planes.data() + slot * num_elements;
+      if (!time_trial(t, *w, scale)) continue;
+      w->pending.push_back(t);
+      Rng rng = Rng::ForStream(options.seed, t + kClassifyStreamOffset);
+      for (int i = 0; i < transitions; ++i, ++lanes) {
+        const std::size_t word = lanes / width;
+        const int lane = static_cast<int>(lanes % width);
+        if (lane == 0) w->patterns.Start(word);
+        draw_transition(rng, *w, scale, i, word, lane);
       }
     }
-    BatchEventSim engine(prot);
-    std::vector<std::uint64_t> prev_words(prot.NumInputs());
-    std::vector<std::uint64_t> next_words(prot.NumInputs());
-    std::uint64_t words = 0;
-    for (std::size_t base = 0; base < lanes.size();
-         base += static_cast<std::size_t>(width)) {
-      const int count = static_cast<int>(
-          std::min(lanes.size() - base, static_cast<std::size_t>(width)));
-      BatchEventSimConfig cfg;
-      cfg.clock = prot_clock;
-      cfg.lanes = count;
-      std::fill(prev_words.begin(), prev_words.end(), 0);
-      std::fill(next_words.begin(), next_words.end(), 0);
-      for (int l = 0; l < count; ++l) {
-        const LaneRef& ref = lanes[base + static_cast<std::size_t>(l)];
-        const TrialPlan& plan = pending[ref.plan_index];
-        cfg.delay_scale[static_cast<std::size_t>(l)] = plan.scale.data();
-        const std::vector<bool>& pv = plan.prev[ref.transition];
-        const std::vector<bool>& nv = plan.next[ref.transition];
-        for (std::size_t v = 0; v < pv.size(); ++v) {
-          if (pv[v]) prev_words[v] |= 1ull << l;
-          if (nv[v]) next_words[v] |= 1ull << l;
+    if (lanes == 0) return;
+
+    // Phase B: run the words; lanes of one trial share its delay plane by
+    // pointer. Each word's outcome is read a word at a time: a pass over the
+    // output error words and the tap words visits only the lanes that saw
+    // something.
+    if (!w->engine) w->engine = std::make_unique<BatchEventSim>(prot);
+    w->err_counts.assign(lanes, 0);
+    w->tap_counts.assign(lanes, 0);
+    const std::size_t words = (lanes + width - 1) / width;
+    BatchEventSimConfig cfg;
+    cfg.clock = prot_clock;
+    for (std::size_t word = 0; word < words; ++word) {
+      const std::size_t base = word * width;
+      cfg.lanes = static_cast<int>(std::min(lanes - base, width));
+      for (int l = 0; l < cfg.lanes; ++l) {
+        const std::size_t slot =
+            (base + static_cast<std::size_t>(l)) /
+            static_cast<std::size_t>(transitions);
+        cfg.delay_scale[static_cast<std::size_t>(l)] =
+            w->planes.data() + slot * num_elements;
+      }
+      w->patterns.Finish(word);
+      const BatchEventSimResult& sim = w->engine->Run(
+          w->patterns.previous(word), w->patterns.next(word), cfg);
+      for (const GateId d : protected_drivers) {
+        for (std::uint64_t e = sim.TimingErrorWord(d); e != 0; e &= e - 1) {
+          ++w->err_counts[base + static_cast<std::size_t>(std::countr_zero(e))];
         }
       }
-      const BatchEventSimResult& sim = engine.Run(prev_words, next_words, cfg);
-      ++words;
-      for (int l = 0; l < count; ++l) {
-        const LaneRef& ref = lanes[base + static_cast<std::size_t>(l)];
-        count_lane(sim, l, pending[ref.plan_index], ref.transition);
+      for (const auto& tap : protected_circuit.taps) {
+        for (std::uint64_t e = sim.sampled[tap.indicator] & sim.lane_mask;
+             e != 0; e &= e - 1) {
+          const int l = std::countr_zero(e);
+          if (sim.SettleAt(tap.original, l) > clock + kEps) {
+            ++w->tap_counts[base + static_cast<std::size_t>(l)];
+          }
+        }
       }
     }
     chunk_words[lo / options.chunk] += words;
-    chunk_lanes[lo / options.chunk] += lanes.size();
+    chunk_lanes[lo / options.chunk] += lanes;
 
     // Phase C: fold the per-transition counts back in scalar order,
     // replaying the scalar loop's stop-after-first-residual-transition
     // bookkeeping (including the structurally-residual case, which the
     // scalar path simulates for exactly one transition).
-    for (TrialPlan& plan : pending) {
-      TrialOutcome& out = outcomes[plan.trial];
-      for (std::size_t j = 0; j < plan.err_counts.size(); ++j) {
-        if (plan.err_counts[j] > 0) {
-          out.residual_events += plan.err_counts[j];
+    for (std::size_t k = 0; k < w->pending.size(); ++k) {
+      TrialOutcome& out = outcomes[w->pending[k]];
+      for (int j = 0; j < transitions; ++j) {
+        const std::size_t lane =
+            k * static_cast<std::size_t>(transitions) +
+            static_cast<std::size_t>(j);
+        if (w->err_counts[lane] > 0) {
+          out.residual_events += w->err_counts[lane];
           out.residual = true;
         }
-        out.masked_events += plan.tap_counts[j];
+        out.masked_events += w->tap_counts[lane];
         if (out.residual) break;
       }
       out.excited = out.masked_events > 0 || out.residual_events > 0;
@@ -462,9 +481,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
                        if (options.use_batch_sim) {
                          run_chunk_batched(lo, hi);
                        } else {
-                         for (std::size_t t = lo; t < hi; ++t) {
-                           run_trial(t, nullptr);
-                         }
+                         run_chunk_scalar(lo, hi);
                        }
                      });
   }

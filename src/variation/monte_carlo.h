@@ -1,8 +1,10 @@
 // Parallel Monte-Carlo timing-yield and residual-error-rate estimation.
 //
-// Each trial draws a per-gate delay_scale vector (variation.h), re-runs STA
-// on the original circuit C and on the protected circuit C ∪ C̃ ∪ muxes,
-// and classifies the outcome:
+// Each trial draws a per-gate delay_scale vector (variation.h) over the
+// protected circuit C ∪ C̃ ∪ muxes, runs one forward max-arrival STA pass
+// over it (sta.h MaxArrivalPass), and classifies the outcome. Integration
+// copies C verbatim and the copies share the trial's draws, so the same
+// pass times C at its copied output drivers (checked at set-up):
 //
 //   * C fails the trial when any output's arrival exceeds the clock T.
 //   * The protected circuit is judged at T + mux compensation (the same
@@ -31,6 +33,10 @@
 // every trial writes its outcome into its own slot; the reduction over
 // slots is sequential. Counts and floating-point estimates are therefore
 // bit-identical for any thread count.
+//
+// Per trial the engine allocates nothing: each worker thread reuses one set
+// of arrival and delay-plane buffers, one batched simulator, and lane words
+// into which the classification patterns are drawn directly.
 //
 // Importance sampling (ISLE-style): the Gaussians of the gates within
 // `is_guard_fraction`·clock of their deadline are shifted toward slowdown

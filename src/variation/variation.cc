@@ -64,12 +64,14 @@ DelayScaleSampler::DelayScaleSampler(const MappedNetlist& net,
     max_level_ = std::max(max_level_, lvl);
   }
 
+  if (model_.kind != VariationModelKind::kSpatiallyCorrelated) return;
+
   // Synthetic placement: x = normalized level (logic depth ≈ horizontal
   // position in a standard-cell row layout), y = rank among the elements of
   // the same level. Deterministic, and close gates in the DAG land close on
-  // the square.
-  px_.assign(n, 0.0);
-  py_.assign(n, 0.0);
+  // the square. Only the basis values at each placement are kept.
+  const auto k_count = static_cast<std::size_t>(model_.num_components);
+  basis_.assign(n * k_count, 0.0);
   std::vector<int> level_size(static_cast<std::size_t>(max_level_) + 1, 0);
   std::vector<int> level_rank(static_cast<std::size_t>(max_level_) + 1, 0);
   for (GateId id = 0; id < n; ++id) {
@@ -77,13 +79,17 @@ DelayScaleSampler::DelayScaleSampler(const MappedNetlist& net,
   }
   for (GateId id = 0; id < n; ++id) {
     const auto lvl = static_cast<std::size_t>(levels_[id]);
-    px_[id] = max_level_ == 0
-                  ? 0.5
-                  : static_cast<double>(levels_[id]) / max_level_;
-    py_[id] = level_size[lvl] <= 1
-                  ? 0.5
-                  : static_cast<double>(level_rank[lvl]) / (level_size[lvl] - 1);
+    const double x = max_level_ == 0
+                         ? 0.5
+                         : static_cast<double>(levels_[id]) / max_level_;
+    const double y =
+        level_size[lvl] <= 1
+            ? 0.5
+            : static_cast<double>(level_rank[lvl]) / (level_size[lvl] - 1);
     ++level_rank[lvl];
+    for (std::size_t k = 0; k < k_count; ++k) {
+      basis_[id * k_count + k] = Basis(static_cast<int>(k), x, y);
+    }
   }
 }
 
@@ -95,50 +101,71 @@ std::vector<double> DelayScaleSampler::Sample(std::uint64_t seed,
 ShiftedSample DelayScaleSampler::SampleShifted(
     std::uint64_t seed, std::uint64_t trial,
     const std::vector<double>& shift_sigmas) const {
+  ShiftedSample out;
+  out.scale.resize(levels_.size());
+  out.log_weight =
+      SampleShiftedInto(seed, trial, shift_sigmas, out.scale.data());
+  return out;
+}
+
+double DelayScaleSampler::SampleShiftedInto(
+    std::uint64_t seed, std::uint64_t trial,
+    const std::vector<double>& shift_sigmas, double* scale) const {
   SM_REQUIRE(shift_sigmas.empty() || shift_sigmas.size() == levels_.size(),
              "shift vector must be empty or per-element");
   Rng rng = Rng::ForStream(seed, trial);
   const std::size_t n = levels_.size();
-  ShiftedSample out;
-  out.scale.assign(n, 1.0);
+  const bool spatial = model_.kind == VariationModelKind::kSpatiallyCorrelated;
+  const auto k_count = static_cast<std::size_t>(model_.num_components);
 
   // Shared components are drawn first with a fixed count, so the per-gate
   // draws that follow stay aligned across model kinds and shift choices.
-  std::vector<double> components(
-      static_cast<std::size_t>(model_.num_components), 0.0);
-  for (auto& c : components) c = rng.Normal();
+  // Only the spatial model keeps them.
+  double inline_components[kInlineComponents] = {};
+  std::vector<double> heap_components;
+  double* components = inline_components;
+  if (spatial && k_count > kInlineComponents) {
+    heap_components.resize(k_count);
+    components = heap_components.data();
+  }
+  for (std::size_t k = 0; k < k_count; ++k) {
+    const double c = rng.Normal();
+    if (spatial) components[k] = c;
+  }
 
-  const bool spatial = model_.kind == VariationModelKind::kSpatiallyCorrelated;
   const double rho = spatial ? model_.correlation_fraction : 0.0;
-  const double shared_amp =
-      std::sqrt(rho / static_cast<double>(model_.num_components));
+  const double shared_amp = std::sqrt(rho / static_cast<double>(k_count));
   const double indep_amp = std::sqrt(1.0 - rho);
 
+  double log_weight = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (is_input_[i]) continue;  // PIs carry no gate delay
+    if (is_input_[i]) {
+      scale[i] = 1.0;  // PIs carry no gate delay
+      continue;
+    }
     const double mu = shift_sigmas.empty() ? 0.0 : shift_sigmas[i];
     const double g = rng.Normal() + mu;
     if (mu != 0.0) {
       // log p(g)/q(g) for q = N(mu, 1): -mu·g + mu²/2.
-      out.log_weight += -mu * g + 0.5 * mu * mu;
+      log_weight += -mu * g + 0.5 * mu * mu;
     }
     double shared = 0.0;
     if (spatial) {
-      for (int k = 0; k < model_.num_components; ++k) {
-        shared += components[static_cast<std::size_t>(k)] *
-                  Basis(k, px_[i], py_[i]);
+      const double* basis = &basis_[i * k_count];
+      for (std::size_t k = 0; k < k_count; ++k) {
+        shared += components[k] * basis[k];
       }
     }
-    double scale = 1.0 + model_.sigma * (indep_amp * g + shared_amp * shared);
+    double s = 1.0 + model_.sigma * (indep_amp * g + shared_amp * shared);
     if (model_.kind == VariationModelKind::kAgingDrift && max_level_ > 0) {
       // Deterministic drift profile: the deepest gates (the wearout hot
       // spots sitting on speed-paths) age hardest.
-      scale += model_.aging_level * (static_cast<double>(levels_[i]) /
-                                     static_cast<double>(max_level_));
+      s += model_.aging_level * (static_cast<double>(levels_[i]) /
+                                 static_cast<double>(max_level_));
     }
-    out.scale[i] = std::max(model_.min_scale, scale);
+    scale[i] = std::max(model_.min_scale, s);
   }
-  return out;
+  return log_weight;
 }
 
 }  // namespace sm

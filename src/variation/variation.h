@@ -81,10 +81,22 @@ class DelayScaleSampler {
   ShiftedSample SampleShifted(std::uint64_t seed, std::uint64_t trial,
                               const std::vector<double>& shift_sigmas) const;
 
+  // SampleShifted into a caller buffer of num_elements() entries (every
+  // entry is overwritten); returns the log likelihood ratio. Allocates
+  // nothing unless the spatial model has more than 16 shared components —
+  // the per-trial form the Monte-Carlo engine uses.
+  double SampleShiftedInto(std::uint64_t seed, std::uint64_t trial,
+                           const std::vector<double>& shift_sigmas,
+                           double* scale) const;
+
  private:
+  static constexpr std::size_t kInlineComponents = 16;
+
   VariationModel model_;
-  std::vector<int> levels_;     // topological level per element (PIs = 0)
-  std::vector<double> px_, py_; // unit-square placement per element
+  std::vector<int> levels_;  // topological level per element (PIs = 0)
+  // kSpatiallyCorrelated only: Basis(k, x_i, y_i) at element i's synthetic
+  // placement, at [i * num_components + k].
+  std::vector<double> basis_;
   std::vector<bool> is_input_;
   int max_level_ = 0;
 };

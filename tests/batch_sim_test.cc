@@ -15,6 +15,7 @@
 #include "map/tech_map.h"
 #include "sim/batch_sim.h"
 #include "sim/event_sim.h"
+#include "sim/lane_patterns.h"
 #include "sim/logic_sim.h"
 #include "sta/sta.h"
 #include "suite/circuit_gen.h"
@@ -263,6 +264,61 @@ TEST(BatchSim, ValidatesConfig) {
   cfg = BatchEventSimConfig{};
   cfg.clock = -1.0;
   EXPECT_THROW(engine.Run(w, w, cfg), std::invalid_argument);
+}
+
+// The engines' scalar paths unpack one lane of the same generator, so the
+// scalar-vs-batched tests cannot see a generator bug; this checks every lane
+// against pattern pairs built the plain way, one std::vector<bool> per
+// pattern from the same Chance sequence.
+TEST(LanePatterns, LanesMatchPlainBitVectorPairs) {
+  constexpr std::size_t kInputs = 37;
+  LanePatterns patterns(kInputs);
+  std::vector<bool> sensitized(kInputs);
+  for (std::size_t v = 0; v < kInputs; ++v) sensitized[v] = v % 3 == 0;
+  for (const std::size_t w : {std::size_t{2}, std::size_t{0}}) {
+    patterns.Start(w);
+    std::vector<std::vector<bool>> want_prev, want_next;
+    for (int lane = 0; lane < kBatchLanes; ++lane) {
+      const std::uint64_t stream = w * kBatchLanes + lane;
+      Rng rng = Rng::ForStream(9, stream);
+      Rng ref = Rng::ForStream(9, stream);
+      std::vector<bool> next(kInputs), prev(kInputs);
+      const int flip =
+          lane % 5 == 4 ? -1 : (lane * 7) % static_cast<int>(kInputs);
+      switch (lane % 3) {
+        case 0:  // random pair
+          for (std::size_t v = 0; v < kInputs; ++v) next[v] = ref.Chance(0.5);
+          for (std::size_t v = 0; v < kInputs; ++v) prev[v] = ref.Chance(0.5);
+          patterns.DrawNext(rng, w, lane);
+          patterns.DrawPrevious(rng, w, lane);
+          break;
+        case 1:  // targeted: next with one input flipped, copy marked first
+          for (std::size_t v = 0; v < kInputs; ++v) next[v] = ref.Chance(0.5);
+          prev = next;
+          if (flip >= 0) prev[static_cast<std::size_t>(flip)].flip();
+          patterns.CopyNext(w, lane, flip);
+          patterns.DrawNext(rng, w, lane);
+          break;
+        default:  // fixed next pattern, copy marked last
+          next = sensitized;
+          prev = next;
+          if (flip >= 0) prev[static_cast<std::size_t>(flip)].flip();
+          patterns.SetNext(w, lane, sensitized);
+          patterns.CopyNext(w, lane, flip);
+          break;
+      }
+      want_prev.push_back(prev);
+      want_next.push_back(next);
+    }
+    patterns.Finish(w);
+    for (int lane = 0; lane < kBatchLanes; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      EXPECT_EQ(LanePatterns::Unpack(patterns.next(w), lane), want_next[l])
+          << "word " << w << " lane " << lane;
+      EXPECT_EQ(LanePatterns::Unpack(patterns.previous(w), lane), want_prev[l])
+          << "word " << w << " lane " << lane;
+    }
+  }
 }
 
 TEST(LogicSim, SteadyStateParallelMatchesScalar) {

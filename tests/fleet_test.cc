@@ -428,27 +428,42 @@ class MisbehavingShard {
 
 // The router hashes the circuit onto the shard *address* ring, so which
 // shard serves "i1" is a pure function of the address strings. To plant the
-// impostor on i1's path, try candidate socket paths until the ring routes
-// i1 to the impostor's slot.
-std::string PlantOnCircuitPath(const std::string& other_address,
-                               const char* tag, int vnodes) {
+// impostor on i1's path, choose the impostor's and the real daemon's socket
+// paths together, trying pairs until the ring {impostor, real} routes i1 to
+// the impostor. Varying the impostor's path alone is not enough: when one of
+// the real daemon's virtual nodes sits just past i1's key (which depends on
+// the pid in the path), almost no impostor path lands in between, and even
+// thousands of candidates can all miss. With both paths fresh, each pair
+// routes to the impostor with probability about 1/2, so 64 pairs all miss
+// with probability about 2^-64.
+struct PlantedPaths {
+  std::string fake;
+  std::string real;
+};
+
+PlantedPaths PlantOnCircuitPath(const char* tag, int vnodes) {
   ServiceRequest probe;
   probe.method = ServiceMethod::kAnalyzeSpcf;
   probe.circuit_name = "i1";
   const std::uint64_t key = HashNetwork(ResolveCircuit(probe));
   for (int i = 0; i < 64; ++i) {
-    const std::string candidate =
-        TestSocket((std::string(tag) + "_" + std::to_string(i)).c_str());
-    if (HashRing({candidate, other_address}, vnodes).Pick(key) == 0) {
-      return candidate;
+    const std::string prefix = std::string(tag) + "_" + std::to_string(i);
+    PlantedPaths paths{TestSocket((prefix + "_fake").c_str()),
+                       TestSocket((prefix + "_real").c_str())};
+    if (HashRing({paths.fake, paths.real}, vnodes).Pick(key) == 0) {
+      return paths;
     }
   }
-  return "";  // 2^-64: effectively unreachable
+  return {};
 }
 
 TEST(Fleet, FailoverWhenShardDiesMidResponseFrame) {
+  RouterOptions ro;
+  ro.listen_address = TestSocket("half_router");
+  const PlantedPaths paths = PlantOnCircuitPath("half", ro.vnodes_per_shard);
+  ASSERT_FALSE(paths.fake.empty());
   ServerOptions real_options;
-  real_options.listen_address = TestSocket("half_real");
+  real_options.listen_address = paths.real;
   real_options.num_workers = 1;
   SpeedmaskServer real(real_options);
   real.Start();
@@ -461,13 +476,8 @@ TEST(Fleet, FailoverWhenShardDiesMidResponseFrame) {
     expected = r.result_json;
   }
 
-  RouterOptions ro;
-  ro.listen_address = TestSocket("half_router");
-  const std::string fake_path = PlantOnCircuitPath(
-      real_options.listen_address, "half_fake", ro.vnodes_per_shard);
-  ASSERT_FALSE(fake_path.empty());
-  MisbehavingShard fake(fake_path, MisbehavingShard::Mode::kHalfFrame);
-  ro.shards = {fake_path, real_options.listen_address};
+  MisbehavingShard fake(paths.fake, MisbehavingShard::Mode::kHalfFrame);
+  ro.shards = {paths.fake, paths.real};
   FleetRouter router(ro);
   router.Start();
   {
@@ -491,24 +501,23 @@ TEST(Fleet, FailoverWhenShardDiesMidResponseFrame) {
 }
 
 TEST(Fleet, FailoverWhenShardAcceptsButNeverReplies) {
+  RouterOptions ro;
+  ro.listen_address = TestSocket("hung_router");
+  const PlantedPaths paths = PlantOnCircuitPath("hung", ro.vnodes_per_shard);
+  ASSERT_FALSE(paths.fake.empty());
   ServerOptions real_options;
-  real_options.listen_address = TestSocket("hung_real");
+  real_options.listen_address = paths.real;
   real_options.num_workers = 1;
   SpeedmaskServer real(real_options);
   real.Start();
 
-  RouterOptions ro;
-  ro.listen_address = TestSocket("hung_router");
   // The upstream read timeout is what makes a wedged shard a *bounded*
   // failure: without it this test would hang, not fail. It also bounds the
   // healthy shard's compute+reply, so it must comfortably exceed a cold
   // AnalyzeSpcf on a loaded single-core CI box — 200 ms flaked there.
   ro.shard_read_timeout_ms = 2000;
-  const std::string hung_path = PlantOnCircuitPath(
-      real_options.listen_address, "hung_fake", ro.vnodes_per_shard);
-  ASSERT_FALSE(hung_path.empty());
-  MisbehavingShard hung(hung_path, MisbehavingShard::Mode::kNeverReplies);
-  ro.shards = {hung_path, real_options.listen_address};
+  MisbehavingShard hung(paths.fake, MisbehavingShard::Mode::kNeverReplies);
+  ro.shards = {paths.fake, paths.real};
   FleetRouter router(ro);
   router.Start();
   {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "network/global_bdd.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
+#include "suite/paper_suite.h"
 #include "suite/structured.h"
 #include "util/check.h"
 
@@ -306,6 +308,114 @@ TEST(Inject, EscapeRecordJsonBytesArePinned) {
             "\"previous\":\"101\",\"next\":\"001\",\"output_index\":1,"
             "\"output_name\":\"out\",\"shrunk\":false,\"clock\":12.5,"
             "\"protected_clock\":0.3333333333333333}");
+}
+
+// Every count of a campaign, doubles spelled with %a so that a one-ulp
+// drift fails the comparison.
+std::string CampaignPin(const InjectionCampaignResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "sites=%zu trials=%zu benign=%zu masked=%zu escapes=%zu "
+                "me=%llu clock=%a pclock=%a delta=%a records=%zu words=%llu "
+                "lanes=%llu",
+                r.sites, r.trials, r.benign, r.masked, r.escapes,
+                static_cast<unsigned long long>(r.masked_events), r.clock,
+                r.protected_clock, r.delta, r.escape_records.size(),
+                static_cast<unsigned long long>(r.words_simulated),
+                static_cast<unsigned long long>(r.lanes_simulated));
+  return buf;
+}
+
+// Golden pins of the campaign on C432 with faults eight times the guarantee
+// window (escapes expected), for both fault kinds: the counts, the first
+// escape record raw (a sensitized pair), the last one raw (a random pair)
+// and the first one shrunk. A change to vector generation or outcome
+// classification must reproduce them bit for bit.
+TEST(Inject, CampaignMatchesThePins) {
+  const Library lib = Lsi10kLike();
+  const FlowResult flow = RunMaskingFlow(
+      GenerateCircuit(PaperCircuitByName("C432").spec), lib);
+  static const char* const kPins[2][4] = {
+      {"sites=24 trials=144 benign=135 masked=1 escapes=8 me=1 "
+       "clock=0x1.28p+5 pclock=0x1.3b33333333333p+5 "
+       "delta=0x1.d999999954e0bp+4 records=8 words=3 lanes=144",
+       "{\"trial\":6,\"site\":43,\"site_name\":\"n36\","
+       "\"kind\":\"permanent\",\"transition_index\":0,"
+       "\"delta\":29.59999999899996,\"campaign_delta\":29.59999999899996,"
+       "\"previous\":\"011010001100100111101111000010110100\","
+       "\"next\":\"011000001100100111101111000010110100\",\"output_index\":4,"
+       "\"output_name\":\"po4\",\"shrunk\":false,\"clock\":37,"
+       "\"protected_clock\":39.4}",
+       "{\"trial\":41,\"site\":48,\"site_name\":\"n105\","
+       "\"kind\":\"permanent\",\"transition_index\":0,"
+       "\"delta\":29.59999999899996,\"campaign_delta\":29.59999999899996,"
+       "\"previous\":\"110000000010011101110100010100110110\","
+       "\"next\":\"001010111001101111100001011101011101\",\"output_index\":6,"
+       "\"output_name\":\"po6\",\"shrunk\":false,\"clock\":37,"
+       "\"protected_clock\":39.4}",
+       "{\"trial\":6,\"site\":43,\"site_name\":\"n36\","
+       "\"kind\":\"permanent\",\"transition_index\":0,"
+       "\"delta\":24.628124999167937,\"campaign_delta\":29.59999999899996,"
+       "\"previous\":\"000010000000000000000000000010000000\","
+       "\"next\":\"000000000000000000000000000010000000\",\"output_index\":4,"
+       "\"output_name\":\"po4\",\"shrunk\":true,\"clock\":37,"
+       "\"protected_clock\":39.4}"},
+      {"sites=24 trials=144 benign=142 masked=0 escapes=2 me=0 "
+       "clock=0x1.28p+5 pclock=0x1.3b33333333333p+5 "
+       "delta=0x1.d999999954e0bp+4 records=2 words=3 lanes=144",
+       "{\"trial\":6,\"site\":43,\"site_name\":\"n36\","
+       "\"kind\":\"transient\",\"transition_index\":0,"
+       "\"delta\":29.59999999899996,\"campaign_delta\":29.59999999899996,"
+       "\"previous\":\"011010001100100111101111000010110100\","
+       "\"next\":\"011000001100100111101111000010110100\",\"output_index\":4,"
+       "\"output_name\":\"po4\",\"shrunk\":false,\"clock\":37,"
+       "\"protected_clock\":39.4}",
+       "{\"trial\":41,\"site\":48,\"site_name\":\"n105\","
+       "\"kind\":\"transient\",\"transition_index\":0,"
+       "\"delta\":29.59999999899996,\"campaign_delta\":29.59999999899996,"
+       "\"previous\":\"110000000010011101110100010100110110\","
+       "\"next\":\"001010111001101111100001011101011101\",\"output_index\":6,"
+       "\"output_name\":\"po6\",\"shrunk\":false,\"clock\":37,"
+       "\"protected_clock\":39.4}",
+       "{\"trial\":6,\"site\":43,\"site_name\":\"n36\","
+       "\"kind\":\"transient\",\"transition_index\":0,"
+       "\"delta\":24.628124999167937,\"campaign_delta\":29.59999999899996,"
+       "\"previous\":\"000010000000000000000000000010000000\","
+       "\"next\":\"000000000000000000000000000010000000\",\"output_index\":4,"
+       "\"output_name\":\"po4\",\"shrunk\":true,\"clock\":37,"
+       "\"protected_clock\":39.4}"},
+  };
+  int k = 0;
+  for (const FaultKind kind :
+       {FaultKind::kPermanentDelta, FaultKind::kTransient}) {
+    InjectOptions options;
+    options.fault_kind = kind;
+    options.delta_fraction = 8.0;
+    options.vectors_per_site = 6;
+    options.seed = 5;
+    options.threads = 2;
+    options.shrink = false;
+    const InjectionCampaignResult raw =
+        RunFaultInjectionCampaign(flow, options);
+    options.shrink = true;
+    const InjectionCampaignResult shrunk =
+        RunFaultInjectionCampaign(flow, options);
+    EXPECT_EQ(CampaignPin(raw), kPins[k][0]) << ToString(kind);
+    ASSERT_FALSE(raw.escape_records.empty()) << ToString(kind);
+    EXPECT_EQ(EncodeEscapeRecordJson(raw.escape_records.front(), raw.clock,
+                                     raw.protected_clock),
+              kPins[k][1])
+        << ToString(kind);
+    EXPECT_EQ(EncodeEscapeRecordJson(raw.escape_records.back(), raw.clock,
+                                     raw.protected_clock),
+              kPins[k][2])
+        << ToString(kind);
+    EXPECT_EQ(EncodeEscapeRecordJson(shrunk.escape_records.front(),
+                                     shrunk.clock, shrunk.protected_clock),
+              kPins[k][3])
+        << ToString(kind);
+    ++k;
+  }
 }
 
 }  // namespace

@@ -128,6 +128,26 @@ TEST(Sta, ExplicitClockChangesSlackNotArrival) {
   EXPECT_DOUBLE_EQ(t.Slack(net.FindByName("y")), 3.0);
 }
 
+TEST(Sta, MaxArrivalPassMatchesAnalyzeTimingBitForBit) {
+  // The per-trial STA of the Monte-Carlo engine must reproduce
+  // AnalyzeTiming's max arrivals exactly under arbitrary delay scales.
+  const Library lib = Lsi10kLike();
+  const MappedNetlist net =
+      DecomposeAndMap(GenerateCircuit(PaperCircuitByName("C2670").spec), lib,
+                      {})
+          .netlist;
+  const MaxArrivalPass pass(net);
+  ASSERT_EQ(pass.num_elements(), net.NumElements());
+  Rng rng(7);
+  std::vector<double> scale(net.NumElements());
+  std::vector<double> arrival(net.NumElements());
+  for (int trial = 0; trial < 8; ++trial) {
+    for (double& s : scale) s = 0.5 + rng.Uniform();
+    pass.Run(scale.data(), arrival.data());
+    EXPECT_EQ(arrival, AnalyzeTiming(net, -1, &scale).max_arrival);
+  }
+}
+
 TEST(Paths, WorstPathIsSevenUnits) {
   const Library lib = UnitLibrary();
   const MappedNetlist net = PaperComparator(lib);

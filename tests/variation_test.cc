@@ -1,5 +1,9 @@
 #include <atomic>
+#include <cstdio>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,7 +11,9 @@
 #include "harness/flow.h"
 #include "harness/yield.h"
 #include "liblib/lsi10k.h"
+#include "suite/paper_suite.h"
 #include "suite/structured.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "variation/variation.h"
@@ -58,6 +64,25 @@ TEST(ThreadPool, ExceptionsPropagateThroughParallelFor) {
       std::invalid_argument);
   // Every other chunk still ran to completion before the rethrow.
   EXPECT_EQ(completed.load(), 63);
+}
+
+TEST(ThreadPool, ScratchPoolLendsEachObjectToOneChunkAtATime) {
+  ThreadPool pool(4);
+  ScratchPool<std::atomic<int>> scratch;
+  std::atomic<int> built{0};
+  std::atomic<bool> shared{false};
+  pool.ParallelFor(0, 256, 1, [&](std::size_t, std::size_t) {
+    auto lease = scratch.Acquire([&] {
+      ++built;
+      return std::make_unique<std::atomic<int>>(0);
+    });
+    if (lease->fetch_add(1) != 0) shared = true;  // another chunk holds it
+    std::this_thread::yield();
+    lease->fetch_sub(1);
+  });
+  EXPECT_FALSE(shared.load());
+  EXPECT_GE(built.load(), 1);
+  EXPECT_LE(built.load(), pool.num_threads());
 }
 
 TEST(RngStreams, ForStreamIsAPureFunctionOfSeedAndIndex) {
@@ -164,6 +189,17 @@ TEST_F(VariationEngineTest, ShiftedSamplingReportsLikelihoodRatios) {
   EXPECT_GT(sum_biased, sum_plain);
 }
 
+TEST_F(VariationEngineTest, RejectsAProtectedCircuitThatDoesNotCopyC) {
+  // One STA pass over the protected netlist times C through its verbatim
+  // copy there; a protected circuit integrated from another C is refused.
+  const FlowResult other = RunMaskingFlow(RippleComparatorNetwork(5), *lib_);
+  YieldMcOptions options;
+  options.trials = 1;
+  EXPECT_THROW(
+      RunTimingYieldMc(other.original, flow_->protected_circuit, options),
+      InternalError);
+}
+
 TEST_F(VariationEngineTest, ThreadCountDoesNotChangeResults) {
   YieldMcOptions options;
   options.trials = 300;
@@ -261,6 +297,146 @@ TEST_F(VariationEngineTest, AgingModelDegradesYield) {
 
   EXPECT_LE(aged.yield_original, fresh.yield_original);
   EXPECT_GT(aged.violations_original, fresh.violations_original);
+}
+
+// Every count and estimate of a run, doubles spelled with %a so that a
+// one-ulp drift fails the comparison.
+std::string YieldPin(const YieldMcResult& r) {
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "trials=%zu vo=%zu vp=%zu masked=%zu residual=%zu unexcited=%zu "
+      "trunc=%zu me=%llu re=%llu yo=%a yp=%a rate=%a se=%a rel=%a ess=%a "
+      "clock=%a pclock=%a words=%llu lanes=%llu",
+      r.trials, r.violations_original, r.violations_protected,
+      r.masked_trials, r.residual_trials, r.unexcited_trials,
+      r.scan_truncations, static_cast<unsigned long long>(r.masked_events),
+      static_cast<unsigned long long>(r.residual_events), r.yield_original,
+      r.yield_protected, r.residual_rate, r.residual_stderr, r.relative_error,
+      r.effective_samples, r.clock, r.protected_clock,
+      static_cast<unsigned long long>(r.words_simulated),
+      static_cast<unsigned long long>(r.lanes_simulated));
+  return buf;
+}
+
+// Golden pins of the MC engine on three paper-suite circuits under the
+// plain, importance-sampled, spatially correlated and aging models. A
+// change to the trial kernel (sampling, STA, escape scan, pattern
+// generation, batched simulation) must reproduce them bit for bit.
+class YieldMcGoldenTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kCircuits[] = {"C432", "C2670",
+                                              "sparc_ifu_dec"};
+
+  static void SetUpTestSuite() {
+    lib_ = new Library(Lsi10kLike());
+    for (std::size_t i = 0; i < std::size(kCircuits); ++i) {
+      flows_[i] = std::make_unique<FlowResult>(RunMaskingFlow(
+          GenerateCircuit(PaperCircuitByName(kCircuits[i]).spec), *lib_));
+    }
+  }
+  static void TearDownTestSuite() {
+    for (auto& f : flows_) f.reset();
+    delete lib_;
+    lib_ = nullptr;
+  }
+
+  static std::vector<YieldMcOptions> Configs() {
+    YieldMcOptions plain;
+    plain.trials = 300;
+    plain.threads = 2;
+    plain.seed = 1409;
+    plain.model.sigma = 0.3;
+    YieldMcOptions is = plain;
+    is.model.sigma = 0.1;
+    is.importance_sampling = true;
+    YieldMcOptions spatial = plain;
+    spatial.model.kind = VariationModelKind::kSpatiallyCorrelated;
+    spatial.model.sigma = 0.15;
+    YieldMcOptions aging = plain;
+    aging.model.kind = VariationModelKind::kAgingDrift;
+    aging.model.sigma = 0.06;
+    aging.model.aging_level = 0.15;
+    return {plain, is, spatial, aging};
+  }
+
+  static Library* lib_;
+  static std::unique_ptr<FlowResult> flows_[3];
+};
+
+Library* YieldMcGoldenTest::lib_ = nullptr;
+std::unique_ptr<FlowResult> YieldMcGoldenTest::flows_[3];
+
+TEST_F(YieldMcGoldenTest, CountsAndEstimatesMatchThePins) {
+  static const char* const kConfigNames[] = {"plain", "is", "spatial",
+                                             "aging"};
+  static const char* const kPins[3][4] = {
+      {"trials=300 vo=151 vp=150 masked=128 residual=22 unexcited=128 "
+       "trunc=0 me=0 re=0 yo=0x1.fc962fc962fcap-2 yp=0x1.da740da740da7p-1 "
+       "rate=0x1.2c5f92c5f92c6p-4 se=0x1.edfff6b88b5a9p-7 "
+       "rel=0x1.a505c98bd3dbcp-3 ess=0x1.2cp+8 clock=0x1.28p+5 "
+       "pclock=0x1.3b33333333333p+5 words=39 lanes=2400",
+       "trials=300 vo=274 vp=277 masked=277 residual=0 unexcited=277 trunc=0 "
+       "me=0 re=0 yo=0x1.19c6ab3d4c874p-1 yp=0x1p+0 rate=0x0p+0 se=0x0p+0 "
+       "rel=0x0p+0 ess=0x1.079baff52165ep+5 clock=0x1.28p+5 "
+       "pclock=0x1.3b33333333333p+5 words=72 lanes=4432",
+       "trials=300 vo=146 vp=150 masked=148 residual=2 unexcited=148 trunc=0 "
+       "me=0 re=0 yo=0x1.06d3a06d3a06dp-1 yp=0x1.fc962fc962fc9p-1 "
+       "rate=0x1.b4e81b4e81b4fp-8 se=0x1.346c3055ff22ap-8 "
+       "rel=0x1.696ec8a4c6fc9p-1 ess=0x1.2cp+8 clock=0x1.28p+5 "
+       "pclock=0x1.3b33333333333p+5 words=39 lanes=2400",
+       "trials=300 vo=300 vp=300 masked=261 residual=39 unexcited=261 "
+       "trunc=0 me=0 re=0 yo=0x0p+0 yp=0x1.bd70a3d70a3d7p-1 "
+       "rate=0x1.0a3d70a3d70a4p-3 se=0x1.3ea6b95612181p-6 "
+       "rel=0x1.32653c0dd6523p-3 ess=0x1.2cp+8 clock=0x1.28p+5 "
+       "pclock=0x1.3b33333333333p+5 words=75 lanes=4800"},
+      {"trials=300 vo=288 vp=291 masked=148 residual=143 unexcited=148 "
+       "trunc=0 me=0 re=0 yo=0x1.47ae147ae148p-5 yp=0x1.0bf258bf258bfp-1 "
+       "rate=0x1.e81b4e81b4e82p-2 se=0x1.d93d4c32036fbp-6 "
+       "rel=0x1.f067aece6b6fcp-5 ess=0x1.2cp+8 clock=0x1.dcccccccccccdp+4 "
+       "pclock=0x1.019999999999ap+5 words=74 lanes=4656",
+       "trials=300 vo=242 vp=253 masked=253 residual=0 unexcited=252 trunc=0 "
+       "me=1 re=0 yo=0x1.feb006dcc0a06p-2 yp=0x1p+0 rate=0x0p+0 se=0x0p+0 "
+       "rel=0x0p+0 ess=0x1.34863c5781aa9p+5 clock=0x1.dcccccccccccdp+4 "
+       "pclock=0x1.019999999999ap+5 words=65 lanes=4048",
+       "trials=300 vo=242 vp=252 masked=239 residual=13 unexcited=238 "
+       "trunc=0 me=1 re=0 yo=0x1.8bf258bf258cp-3 yp=0x1.e9d0369d0369dp-1 "
+       "rate=0x1.62fc962fc963p-5 se=0x1.81d6b0ac5063bp-7 "
+       "rel=0x1.163fbf689296ap-2 ess=0x1.2cp+8 clock=0x1.dcccccccccccdp+4 "
+       "pclock=0x1.019999999999ap+5 words=64 lanes=4032",
+       "trials=300 vo=300 vp=300 masked=285 residual=15 unexcited=281 "
+       "trunc=0 me=4 re=0 yo=0x0p+0 yp=0x1.e666666666666p-1 "
+       "rate=0x1.999999999999ap-5 se=0x1.9d02b369bc6afp-7 "
+       "rel=0x1.0221b02215c2dp-2 ess=0x1.2cp+8 clock=0x1.dcccccccccccdp+4 "
+       "pclock=0x1.019999999999ap+5 words=75 lanes=4800"},
+      {"trials=300 vo=296 vp=297 masked=150 residual=147 unexcited=149 "
+       "trunc=0 me=2 re=0 yo=0x1.b4e81b4e81b4p-7 yp=0x1.051eb851eb852p-1 "
+       "rate=0x1.f5c28f5c28f5cp-2 se=0x1.d9a92c43b052ap-6 "
+       "rel=0x1.e353cf207fad2p-5 ess=0x1.2cp+8 clock=0x1.e666666666666p+4 "
+       "pclock=0x1.0666666666666p+5 words=75 lanes=4752",
+       "trials=300 vo=275 vp=283 masked=283 residual=0 unexcited=280 trunc=0 "
+       "me=7 re=0 yo=0x1.2282faac3af34p-3 yp=0x1p+0 rate=0x0p+0 se=0x0p+0 "
+       "rel=0x0p+0 ess=0x1.505b53aba6061p+5 clock=0x1.e666666666666p+4 "
+       "pclock=0x1.0666666666666p+5 words=73 lanes=4528",
+       "trials=300 vo=267 vp=278 masked=255 residual=23 unexcited=254 "
+       "trunc=0 me=1 re=0 yo=0x1.c28f5c28f5c28p-4 yp=0x1.d8bf258bf258cp-1 "
+       "rate=0x1.3a06d3a06d3ap-4 se=0x1.f8316e4a77f5dp-7 "
+       "rel=0x1.9b06e7d2f80ep-3 ess=0x1.2cp+8 clock=0x1.e666666666666p+4 "
+       "pclock=0x1.0666666666666p+5 words=71 lanes=4448",
+       "trials=300 vo=300 vp=300 masked=281 residual=19 unexcited=275 "
+       "trunc=0 me=13 re=0 yo=0x0p+0 yp=0x1.df92c5f92c5f9p-1 "
+       "rate=0x1.0369d0369d037p-4 se=0x1.cd8df7adddfdp-7 "
+       "rel=0x1.c77b41e4d7b2ep-3 ess=0x1.2cp+8 clock=0x1.e666666666666p+4 "
+       "pclock=0x1.0666666666666p+5 words=75 lanes=4800"},
+  };
+  const std::vector<YieldMcOptions> configs = Configs();
+  for (std::size_t i = 0; i < std::size(kCircuits); ++i) {
+    for (std::size_t j = 0; j < configs.size(); ++j) {
+      const YieldMcResult r = EstimateTimingYield(*flows_[i], configs[j]);
+      EXPECT_EQ(YieldPin(r), kPins[i][j])
+          << kCircuits[i] << " / " << kConfigNames[j];
+    }
+  }
 }
 
 }  // namespace
