@@ -76,6 +76,13 @@ TruthTable Sop::ToTruthTable() const {
   return t;
 }
 
+std::uint64_t Sop::ToTruthWord() const {
+  SM_REQUIRE(num_vars_ <= kWordVars, "SOP too wide for a truth word");
+  static const std::vector<std::uint64_t> kVars(kVarWord,
+                                                kVarWord + kWordVars);
+  return EvalParallel(kVars) & MintermMask(num_vars_);
+}
+
 void Sop::SortByLiteralCount() {
   std::stable_sort(cubes_.begin(), cubes_.end(),
                    [](const Cube& a, const Cube& b) {

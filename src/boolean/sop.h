@@ -43,6 +43,8 @@ class Sop {
   std::uint64_t EvalParallel(const std::vector<std::uint64_t>& inputs) const;
 
   TruthTable ToTruthTable() const;
+  // The same table as one word, for covers of <= kWordVars variables.
+  std::uint64_t ToTruthWord() const;
 
   // Stable sort by ascending literal count — the cube order prescribed by the
   // paper's essential-weight selection.

@@ -12,12 +12,6 @@ std::size_t WordsFor(int num_vars) {
   return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
 }
 
-// Per-word pattern for variables 0..5.
-constexpr std::uint64_t kVarMask[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
 }  // namespace
 
 TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
@@ -39,7 +33,7 @@ TruthTable TruthTable::Var(int var, int num_vars) {
   SM_REQUIRE(var >= 0 && var < num_vars, "truth table variable out of range");
   TruthTable t(num_vars);
   if (var < 6) {
-    for (auto& w : t.words_) w = kVarMask[var];
+    for (auto& w : t.words_) w = kVarWord[var];
   } else {
     const std::size_t stride = std::size_t{1} << (var - 6);
     for (std::size_t i = 0; i < t.words_.size(); ++i) {
@@ -146,7 +140,7 @@ TruthTable TruthTable::Cofactor(int var, bool value) const {
   SM_REQUIRE(var >= 0 && var < num_vars_, "cofactor variable out of range");
   TruthTable t = *this;
   if (var < 6) {
-    const std::uint64_t mask = kVarMask[var];
+    const std::uint64_t mask = kVarWord[var];
     const int shift = 1 << var;
     for (auto& w : t.words_) {
       if (value) {

@@ -16,6 +16,18 @@ class Cube;
 
 inline constexpr int kMaxTruthVars = 20;
 
+// A function of up to kWordVars variables fits one 64-bit word in the layout
+// of a TruthTable's first word: bit m of kVarWord[i] is bit i of minterm m.
+inline constexpr int kWordVars = 6;
+inline constexpr std::uint64_t kVarWord[kWordVars] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+// The 2^k valid minterm bits of a k-variable word (k <= kWordVars).
+constexpr std::uint64_t MintermMask(int k) {
+  return k == kWordVars ? ~0ull : (1ull << (1u << k)) - 1ull;
+}
+
 class TruthTable {
  public:
   TruthTable() : TruthTable(0) {}  // constant-0 over zero variables

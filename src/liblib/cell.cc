@@ -31,6 +31,8 @@ Cell::Cell(std::string name, TruthTable function, double area,
                  "cell " << name_ << ": vacuous pin " << v);
     }
   }
+  on_primes_ = AllPrimes(function_);
+  off_primes_ = AllPrimes(~function_);
 }
 
 double Cell::pin_delay(int pin) const {
@@ -42,20 +44,6 @@ double Cell::max_delay() const {
   double d = 0;
   for (double p : pin_delays_) d = std::max(d, p);
   return d;
-}
-
-const Sop& Cell::OnSetPrimes() const {
-  if (!primes_ready_) {
-    on_primes_ = AllPrimes(function_);
-    off_primes_ = AllPrimes(~function_);
-    primes_ready_ = true;
-  }
-  return on_primes_;
-}
-
-const Sop& Cell::OffSetPrimes() const {
-  OnSetPrimes();
-  return off_primes_;
 }
 
 bool Cell::IsInverter() const {

@@ -30,9 +30,9 @@ class Cell {
   double switch_energy() const { return switch_energy_; }
 
   // Prime-implicant covers of the on-set and off-set — the P set of Eqn. 1.
-  // Computed lazily on first use and cached.
-  const Sop& OnSetPrimes() const;
-  const Sop& OffSetPrimes() const;
+  // Computed at construction, so threads sharing a Library only read them.
+  const Sop& OnSetPrimes() const { return on_primes_; }
+  const Sop& OffSetPrimes() const { return off_primes_; }
 
   bool IsConstant() const { return num_pins() == 0; }
   bool IsInverter() const;
@@ -44,9 +44,8 @@ class Cell {
   double area_;
   std::vector<double> pin_delays_;
   double switch_energy_;
-  mutable Sop on_primes_;
-  mutable Sop off_primes_;
-  mutable bool primes_ready_ = false;
+  Sop on_primes_;
+  Sop off_primes_;
 };
 
 }  // namespace sm

@@ -16,18 +16,7 @@ namespace {
 
 using Mode = TechMapOptions::Mode;
 
-constexpr int kMaxLeaves = 6;  // a cut function fits one 64-bit word
-
-// Projection functions: bit m of kVar[i] is bit i of minterm m, the layout
-// of TruthTable's first word.
-constexpr std::uint64_t kVar[kMaxLeaves] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-
-// The 2^k valid minterm bits of a k-variable word.
-std::uint64_t MintermMask(int k) {
-  return k == kMaxLeaves ? ~0ull : (1ull << (1u << k)) - 1ull;
-}
+constexpr int kMaxLeaves = kWordVars;  // a cut function fits one word
 
 std::uint64_t ToWord(const TruthTable& t) {
   std::uint64_t w = 0;
@@ -144,7 +133,7 @@ class CutEvaluator {
   std::uint64_t Eval(NodeId root, const Cut& cut) {
     ++epoch_;
     for (int i = 0; i < cut.size; ++i) {
-      value_[cut.leaf[i]] = kVar[i];
+      value_[cut.leaf[i]] = kVarWord[i];
       stamp_[cut.leaf[i]] = epoch_;
     }
     stack_.clear();

@@ -5,6 +5,12 @@
 // De Morgan OR). Balanced trees keep decomposed depth, and hence the mapped
 // critical path, proportional to log(cube width), which matters for the
 // error-masking circuit's slack.
+//
+// The output is fully determined, node order and names included: inputs
+// keep their names and TI order, interleaved with the logic nodes, and each
+// logic node is named n<k> after its position k in the unpruned build
+// order (docs/ALGORITHMS.md §3). The mapper's netlists, and hence every
+// flow result, depend on this order.
 #pragma once
 
 #include <vector>

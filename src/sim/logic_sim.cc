@@ -12,46 +12,6 @@ std::vector<std::uint64_t> RandomInputWords(std::size_t num_inputs, Rng& rng) {
   return words;
 }
 
-void SteadyStateParallelInto(const MappedNetlist& net,
-                             const std::vector<std::uint64_t>& pattern_words,
-                             std::vector<std::uint64_t>& out) {
-  SM_REQUIRE(pattern_words.size() == net.NumInputs(),
-             "SteadyStateParallel needs one word per primary input");
-  out.resize(net.NumElements());
-  std::size_t next_input = 0;
-  for (GateId id = 0; id < net.NumElements(); ++id) {
-    if (net.IsInput(id)) {
-      out[id] = pattern_words[next_input++];
-      continue;
-    }
-    const Cell& cell = net.cell(id);
-    if (cell.IsConstant()) {
-      out[id] = cell.function().Get(0) ? ~0ull : 0ull;
-      continue;
-    }
-    const TruthTable& f = cell.function();
-    const auto& fanins = net.fanins(id);
-    std::uint64_t word = 0;
-    for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
-      if (!f.Get(m)) continue;
-      std::uint64_t term = ~0ull;
-      for (int p = 0; p < f.num_vars() && term != 0; ++p) {
-        const std::uint64_t w = out[fanins[static_cast<std::size_t>(p)]];
-        term &= ((m >> p) & 1u) ? w : ~w;
-      }
-      word |= term;
-    }
-    out[id] = word;
-  }
-}
-
-std::vector<std::uint64_t> SteadyStateParallel(
-    const MappedNetlist& net, const std::vector<std::uint64_t>& pattern_words) {
-  std::vector<std::uint64_t> out;
-  SteadyStateParallelInto(net, pattern_words, out);
-  return out;
-}
-
 std::vector<std::uint64_t> EvalNetworkParallel(
     const Network& net, const std::vector<std::uint64_t>& input_words) {
   SM_REQUIRE(input_words.size() == net.NumInputs(),

@@ -15,17 +15,6 @@ namespace sm {
 // One uniformly random 64-pattern word per input.
 std::vector<std::uint64_t> RandomInputWords(std::size_t num_inputs, Rng& rng);
 
-// Batched pure-functional settling: evaluates 64 input patterns at once (bit
-// l of each word is pattern l), returning one word per element — the
-// word-parallel counterpart of SteadyState in event_sim.h. The Into variant
-// writes into a caller-owned buffer (resized to NumElements) so hot loops
-// can amortize the allocation.
-void SteadyStateParallelInto(const MappedNetlist& net,
-                             const std::vector<std::uint64_t>& pattern_words,
-                             std::vector<std::uint64_t>& out);
-std::vector<std::uint64_t> SteadyStateParallel(
-    const MappedNetlist& net, const std::vector<std::uint64_t>& pattern_words);
-
 // Evaluates every node of a technology-independent network; index by NodeId.
 std::vector<std::uint64_t> EvalNetworkParallel(
     const Network& net, const std::vector<std::uint64_t>& input_words);

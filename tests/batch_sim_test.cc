@@ -321,13 +321,13 @@ TEST(LanePatterns, LanesMatchPlainBitVectorPairs) {
   }
 }
 
-TEST(LogicSim, SteadyStateParallelMatchesScalar) {
+TEST(MappedNetlist, EvalParallelMatchesScalarSteadyState) {
   const Library lib = Lsi10kLike();
   const MappedNetlist net =
       MakeFuzzNetlist(CircuitSpec::Profile::kDenseControl, 5, lib);
   Rng rng = Rng::ForStream(99, 0);
   const auto words = RandomInputWords(net.NumInputs(), rng);
-  const auto batch = SteadyStateParallel(net, words);
+  const auto batch = net.EvalParallel(words);
   ASSERT_EQ(batch.size(), net.NumElements());
   for (int lane = 0; lane < 64; lane += 13) {
     const auto scalar = SteadyState(net, LanePattern(words, lane));

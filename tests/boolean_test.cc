@@ -203,6 +203,28 @@ TEST(Sop, EvalParallelMatchesScalar) {
   }
 }
 
+TEST(Sop, TruthWordMatchesTruthTable) {
+  Rng rng(11);
+  for (int nv = 0; nv <= kWordVars; ++nv) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Sop f(nv);
+      for (int c = static_cast<int>(rng.Range(0, 3)); c > 0; --c) {
+        Cube cube;
+        for (int v = 0; v < nv; ++v) {
+          if (rng.Chance(0.5)) cube = cube.WithLiteral(v, rng.Chance(0.5));
+        }
+        f.AddCube(cube);
+      }
+      const TruthTable t = f.ToTruthTable();
+      const std::uint64_t word = f.ToTruthWord();
+      EXPECT_EQ(word & ~MintermMask(nv), 0u);
+      for (std::uint64_t m = 0; m < t.num_minterms_space(); ++m) {
+        EXPECT_EQ((word >> m) & 1u, t.Get(m) ? 1u : 0u) << f.ToString();
+      }
+    }
+  }
+}
+
 TEST(Sop, Constants) {
   EXPECT_TRUE(Sop::Const0(3).IsConst0());
   EXPECT_TRUE(Sop::Const1(3).IsConst1());

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+#include <vector>
+
+#include "boolean/isop.h"
+
 #include "liblib/library.h"
 #include "liblib/lsi10k.h"
 #include "util/check.h"
@@ -39,6 +45,29 @@ TEST(Cell, PrimeCovers) {
   EXPECT_EQ(aoi->OnSetPrimes().NumCubes(), 2u);
   EXPECT_EQ(aoi->OnSetPrimes().ToTruthTable(), aoi->function());
   EXPECT_EQ(aoi->OffSetPrimes().ToTruthTable(), ~aoi->function());
+}
+
+// Regression for a data race: two threads making the first prime-cover
+// query on a fresh library's cells (as daemon workers and parallel SPCF
+// runs sharing one Library do). ThreadSanitizer flags any write here.
+TEST(Cell, PrimeCoversReadFromTwoThreadsOnFirstUse) {
+  const Library lib = Lsi10kLike();
+  std::vector<std::size_t> cubes[2];
+  auto query = [&lib](std::vector<std::size_t>& out) {
+    for (const Cell* cell : lib.AllCells()) {
+      out.push_back(cell->OnSetPrimes().NumCubes());
+      out.push_back(cell->OffSetPrimes().NumCubes());
+    }
+  };
+  std::thread other(query, std::ref(cubes[1]));
+  query(cubes[0]);
+  other.join();
+  EXPECT_EQ(cubes[0], cubes[1]);
+  std::size_t i = 0;
+  for (const Cell* cell : lib.AllCells()) {
+    EXPECT_EQ(cubes[0][i++], AllPrimes(cell->function()).NumCubes());
+    EXPECT_EQ(cubes[0][i++], AllPrimes(~cell->function()).NumCubes());
+  }
 }
 
 TEST(Library, Lsi10kLikeSanity) {

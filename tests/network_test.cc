@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <ios>
+
+#include "harness/flow.h"
+#include "liblib/lsi10k.h"
 #include "network/cone.h"
 #include "network/decompose.h"
 #include "network/global_bdd.h"
@@ -7,6 +11,8 @@
 #include "network/structural.h"
 #include "network/sweep.h"
 #include "network/topo.h"
+#include "suite/paper_suite.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -251,6 +257,154 @@ TEST_P(DecomposeRandomTest, PreservesFunction) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecomposeRandomTest,
                          ::testing::Range(0, 8));
+
+// Digest of everything DecomposeToAndInv promises: per node, in order, its
+// kind, name, fanins and cube list; then the outputs and node_map. Unlike
+// HashNetwork this covers node names and order.
+std::uint64_t SubjectGraphDigest(const DecomposeResult& d) {
+  const Network& net = d.network;
+  Hasher h;
+  for (NodeId id = 0; id < net.NumNodes(); ++id) {
+    h.Add(static_cast<std::uint64_t>(net.kind(id)));
+    h.AddBytes(net.node_name(id));
+    h.Add(net.fanins(id).size());
+    for (NodeId f : net.fanins(id)) h.Add(f);
+    if (net.kind(id) != NodeKind::kLogic) continue;
+    const Sop& f = net.function(id);
+    h.Add(static_cast<std::uint64_t>(f.num_vars()));
+    h.Add(f.NumCubes());
+    for (const Cube& c : f.cubes()) {
+      h.Add((static_cast<std::uint64_t>(c.pos()) << 32) | c.neg());
+    }
+  }
+  for (const auto& o : net.outputs()) {
+    h.AddBytes(o.name);
+    h.Add(o.driver);
+  }
+  for (NodeId n : d.node_map) h.Add(n);
+  return h.Digest();
+}
+
+// Random network whose logic nodes have lo..hi distinct fanins and 1-4
+// random cubes, plus one live and one dead constant node.
+Network RandomWideNetwork(std::uint64_t seed, int lo, int hi) {
+  Rng rng(seed);
+  Network net(IndexedName("wide", static_cast<long long>(seed)));
+  std::vector<NodeId> pool;
+  for (int i = 0; i < 26; ++i) pool.push_back(net.AddInput(IndexedName("i", i)));
+  const NodeId one = net.AddNode({}, Sop::Const1(0));
+  net.AddNode({}, Sop::Const0(0));
+  for (int g = 0; g < 12; ++g) {
+    const int k = static_cast<int>(rng.Range(lo, hi));
+    std::vector<NodeId> fanins;
+    for (std::size_t i : rng.Sample(pool.size(), static_cast<std::size_t>(k))) {
+      fanins.push_back(pool[i]);
+    }
+    Sop f(k);
+    const int cubes = static_cast<int>(rng.Range(1, 4));
+    for (int c = 0; c < cubes; ++c) {
+      Cube cube;
+      for (int v = 0; v < k; ++v) {
+        if (rng.Chance(0.35)) cube = cube.WithLiteral(v, rng.Chance(0.5));
+      }
+      if (cube.IsUniverse()) cube = Cube::Literal(0, rng.Chance(0.5));
+      f.AddCube(cube);
+    }
+    pool.push_back(net.AddNode(fanins, f));
+  }
+  for (int o = 0; o < 3; ++o) {
+    net.AddOutput(IndexedName("o", o),
+                  pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
+  }
+  net.AddOutput("one", one);
+  return net;
+}
+
+// Pins the exact subject graph (node order, n<k> names, fanins, covers,
+// outputs, node_map) of the Table-2 and Table-1 TI networks, their masking
+// networks, and random networks with narrow (memoized complement), wide
+// (direct complement) and over-wide (no complement) nodes.
+TEST(Decompose, SubjectGraphsMatchThePins) {
+  std::vector<Network> nets = GenerateCircuits(Table2Circuits(), 1);
+  for (Network& n : GenerateCircuits(Table1Circuits(), 1)) {
+    nets.push_back(std::move(n));
+  }
+  const Library lib = Lsi10kLike();
+  const std::size_t num_ti = nets.size();
+  for (std::size_t i = 0; i < num_ti; ++i) {
+    nets.push_back(RunMaskingFlow(nets[i], lib).masking.network);
+  }
+  const std::pair<int, int> bands[] = {{1, 4}, {7, 12}, {21, 24}};
+  for (const auto& [lo, hi] : bands) {
+    const std::uint64_t seed = 100 * static_cast<std::uint64_t>(lo);
+    nets.push_back(RandomWideNetwork(seed, lo, hi));
+    nets.push_back(RandomWideNetwork(seed + 1, lo, hi));
+  }
+  const std::uint64_t pins[] = {
+      0x08d1f1471219b8c5ull,  // i1
+      0xdfd0c89893437340ull,  // cmb
+      0xae306bcebb9e585bull,  // x2
+      0xa8a9a7c8026af7a0ull,  // cu
+      0xe1e704bd7e17d83dull,  // too_large
+      0x0aa1915b8e583015ull,  // k2
+      0xfe0d3c26b1c39b3aull,  // alu2
+      0x9312dcb8c878ffc7ull,  // alu4
+      0x3445bc262ae02a0cull,  // apex4
+      0x4b6b4f54c08c28a8ull,  // apex6
+      0xfc988c903ca4dc4cull,  // frg1
+      0xc6d98db2da155b60ull,  // C432
+      0xbf5f180d6598dc84ull,  // C880
+      0x090880fc4d235212ull,  // C2670
+      0x14ad5c27b15fab79ull,  // sparc_ifu_dec
+      0xad550c01ccba36a3ull,  // sparc_ifu_invctl
+      0x96b9a77385e63aa7ull,  // sparc_ifu_ifqdp
+      0xeec38249fddd852full,  // sparc_ifu_dcl
+      0x55d408f042d8d4bbull,  // lsu_stb_ctl
+      0x2911878fee0d7a03ull,  // sparc_exu_ecl
+      0x20add22912d0400cull,  // C432
+      0x090880fc4d235212ull,  // C2670
+      0x14ad5c27b15fab79ull,  // sparc_ifu_dec
+      0xd353b35ce09178dfull,  // sparc_ifu_invctl
+      0x55d408f042d8d4bbull,  // lsu_stb_ctl
+      0x2dc89047a7bb6f7eull,  // i1_mask
+      0xe87228937b85a74full,  // cmb_mask
+      0x6c4bccaa762b33fbull,  // x2_mask
+      0xd5b15f91395cb777ull,  // cu_mask
+      0x11a52fc69b8b5157ull,  // too_large_mask
+      0x66c84d5273a5cb12ull,  // k2_mask
+      0x24bebb563f0926baull,  // alu2_mask
+      0x005744d760b4ee49ull,  // alu4_mask
+      0x9d4198c16205df28ull,  // apex4_mask
+      0xe9885c0d47a74b78ull,  // apex6_mask
+      0x6a96b7b87379b601ull,  // frg1_mask
+      0x0ff45c04e481b84dull,  // C432_mask
+      0xb6e986d398c69deeull,  // C880_mask
+      0x46bae8809239308eull,  // C2670_mask
+      0xc2555a3c841898cfull,  // sparc_ifu_dec_mask
+      0xc203692a4d17403eull,  // sparc_ifu_invctl_mask
+      0x2460ca1d279cb24eull,  // sparc_ifu_ifqdp_mask
+      0x81c04218eeb06087ull,  // sparc_ifu_dcl_mask
+      0x7913c390a234784dull,  // lsu_stb_ctl_mask
+      0x57c35eb1ce2eb7d3ull,  // sparc_exu_ecl_mask
+      0x6ab54f74d611ecfeull,  // C432_mask
+      0x46bae8809239308eull,  // C2670_mask
+      0xc2555a3c841898cfull,  // sparc_ifu_dec_mask
+      0x69a87d5e768aff1eull,  // sparc_ifu_invctl_mask
+      0x7913c390a234784dull,  // lsu_stb_ctl_mask
+      0xc29b8474f691f239ull,  // wide100
+      0xeab00d3787ab5e37ull,  // wide101
+      0x065fb7b6f6a04c06ull,  // wide700
+      0xa22cf1575969a366ull,  // wide701
+      0x5bd903ac9abeb48bull,  // wide2100
+      0xc074a10986c5e2dfull,  // wide2101
+  };
+  ASSERT_EQ(nets.size(), std::size(pins));
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const std::uint64_t digest = SubjectGraphDigest(DecomposeToAndInv(nets[i]));
+    EXPECT_EQ(digest, pins[i]) << "network " << i << " (" << nets[i].name()
+                               << "): 0x" << std::hex << digest;
+  }
+}
 
 // -------------------------------------------------------------- GlobalBdd
 
