@@ -7,14 +7,11 @@
 // guarantee says no trial may latch a wrong value at a protected output —
 // the benchmark exits non-zero on ANY escape, and also re-runs every
 // campaign at 8 threads to hold the engine to its bit-identical-results
-// determinism contract. Unless --no-batch, each campaign additionally
-// re-runs on the scalar engine and every semantic field (counts, clocks and
-// escape-record JSON) must match the 64-lane batched run byte for byte.
+// determinism contract.
 //
-// Usage: inject_campaign [--smoke] [--threads=N] [--json=PATH] [--no-batch]
+// Usage: inject_campaign [--smoke] [--threads=N] [--json=PATH]
 //   --smoke     reduced circuit list for CI
 //   --json=PATH result dump (default BENCH_inject.json)
-//   --no-batch  run the campaigns on the scalar engine only
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -38,8 +35,6 @@ struct Row {
   double flow_seconds = 0;
   InjectionCampaignResult campaign;  // the 8-thread run
   bool identical_1v8 = false;
-  bool identical_batch_scalar = true;  // stays true under --no-batch
-  double scalar_seconds = 0;
   bool verified = false;
 };
 
@@ -85,43 +80,29 @@ int Main(int argc, char** argv) {
 
     InjectOptions io;
     io.vectors_per_site = 8;
-    io.use_batch_sim = opts.batch;
     io.threads = 1;
     const InjectionCampaignResult one = RunFaultInjectionCampaign(flow, io);
     io.threads = 8;
     row.campaign = RunFaultInjectionCampaign(flow, io);
     row.identical_1v8 = SameResults(one, row.campaign);
-    if (opts.batch) {
-      // Transparency gate: the scalar oracle must reproduce the batched
-      // campaign field for field (escape records compared as JSON bytes).
-      InjectOptions scalar_io = io;
-      scalar_io.use_batch_sim = false;
-      const InjectionCampaignResult scalar_run =
-          RunFaultInjectionCampaign(flow, scalar_io);
-      row.identical_batch_scalar = SameResults(scalar_run, row.campaign);
-      row.scalar_seconds = scalar_run.seconds;
-    }
 
     const InjectionCampaignResult& c = row.campaign;
     std::printf(
         "%-18s gates %5zu  sites %4zu  trials %6zu  benign %6zu  "
-        "masked %5zu  escapes %zu  %s  1v8 %s  scalar %s  %.2fs\n",
+        "masked %5zu  escapes %zu  %s  1v8 %s  %.2fs\n",
         row.name.c_str(), row.gates, c.sites, c.trials, c.benign, c.masked,
         c.escapes, c.GuaranteeHolds() ? "held" : "BROKEN",
-        row.identical_1v8 ? "ok" : "MISMATCH",
-        row.identical_batch_scalar ? "ok" : "MISMATCH", c.seconds);
+        row.identical_1v8 ? "ok" : "MISMATCH", c.seconds);
     std::fflush(stdout);
     rows.push_back(std::move(row));
   }
 
   bool all_held = true;
   bool all_identical = true;
-  bool all_batch_identical = true;
   bool all_verified = true;
   for (const Row& row : rows) {
     all_held = all_held && row.campaign.GuaranteeHolds();
     all_identical = all_identical && row.identical_1v8;
-    all_batch_identical = all_batch_identical && row.identical_batch_scalar;
     all_verified = all_verified && row.verified;
   }
 
@@ -135,9 +116,6 @@ int Main(int argc, char** argv) {
   out << "  \"guarantee_holds\": " << (all_held ? "true" : "false") << ",\n";
   out << "  \"deterministic_1v8\": " << (all_identical ? "true" : "false")
       << ",\n";
-  out << "  \"batched\": " << (opts.batch ? "true" : "false") << ",\n";
-  out << "  \"batch_vs_scalar_identical\": "
-      << (all_batch_identical ? "true" : "false") << ",\n";
   out << "  \"circuits\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
@@ -153,15 +131,8 @@ int Main(int argc, char** argv) {
         << ", \"protected_clock\": " << c.protected_clock
         << ", \"delta\": " << c.delta
         << ", \"identical_1v8\": " << (row.identical_1v8 ? "true" : "false")
-        << ", \"identical_batch_vs_scalar\": "
-        << (row.identical_batch_scalar ? "true" : "false")
         << ", \"flow_seconds\": " << row.flow_seconds
         << ", \"campaign_seconds\": " << c.seconds
-        << ", \"scalar_seconds\": " << row.scalar_seconds
-        << ", \"batch_speedup\": "
-        << (c.seconds > 0 && row.scalar_seconds > 0
-                ? row.scalar_seconds / c.seconds
-                : 0)
         << ", \"words_simulated\": " << c.words_simulated
         << ", \"lane_utilization\": " << c.lane_utilization
         << ", \"trials_per_second\": " << c.trials_per_second << "}"
@@ -172,12 +143,7 @@ int Main(int argc, char** argv) {
   if (!all_verified) std::cerr << "FAIL: a flow failed formal verification\n";
   if (!all_held) std::cerr << "FAIL: the masking guarantee was broken\n";
   if (!all_identical) std::cerr << "FAIL: results differ across threads\n";
-  if (!all_batch_identical) {
-    std::cerr << "FAIL: batched results differ from the scalar engine\n";
-  }
-  return (all_held && all_identical && all_verified && all_batch_identical)
-             ? 0
-             : 1;
+  return (all_held && all_identical && all_verified) ? 0 : 1;
 }
 
 }  // namespace

@@ -14,10 +14,13 @@
 // scalar trial throughput on every circuit AND kMinSpeedup x on at least
 // kMinFastCircuits of them (the paper-table acceptance bar).
 //
-// Usage: micro_sim [--smoke] [--json=PATH] [--no-batch]
+// The MC yield and injection engines classify trials only on the batched
+// engine; this run and batch_sim_test's differential fuzz are where it is
+// held to SimulateTransition.
+//
+// Usage: micro_sim [--smoke] [--json=PATH]
 //   --smoke     reduced circuit list + fewer trials for CI
 //   --json=PATH result dump (default BENCH_sim.json)
-//   --no-batch  skip the batched pass (scalar baseline only, gate off)
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -97,7 +100,7 @@ std::vector<Trial> MakeTrials(const MappedNetlist& net, std::size_t count,
 }
 
 Row RunCircuit(const PaperCircuitInfo& info, const Library& lib,
-               std::size_t trial_count, bool run_batched) {
+               std::size_t trial_count) {
   Row row;
   row.name = info.spec.name;
   const Network net = GenerateCircuit(info.spec);
@@ -133,7 +136,6 @@ Row RunCircuit(const PaperCircuitInfo& info, const Library& lib,
       row.scalar_seconds = seconds;
     }
   }
-  if (!run_batched) return row;
 
   // --- batched ----------------------------------------------------------
   // Pack + Run are timed (the packing is real batched-path overhead); the
@@ -204,7 +206,7 @@ int Main(int argc, char** argv) {
   bool above_floor = true;
   int fast_circuits = 0;
   for (const PaperCircuitInfo& info : infos) {
-    Row row = RunCircuit(info, lib, trial_count, opts.batch);
+    Row row = RunCircuit(info, lib, trial_count);
     const double scalar_tps =
         row.scalar_seconds > 0 ? row.trials / row.scalar_seconds : 0;
     const double batched_tps =
@@ -220,8 +222,7 @@ int Main(int argc, char** argv) {
     if (row.Speedup() >= kMinSpeedup) ++fast_circuits;
     rows.push_back(std::move(row));
   }
-  const bool all_fast =
-      !opts.batch || (above_floor && fast_circuits >= kMinFastCircuits);
+  const bool all_fast = above_floor && fast_circuits >= kMinFastCircuits;
 
   std::ofstream out(opts.json_path);
   if (!out.good()) {
@@ -230,7 +231,6 @@ int Main(int argc, char** argv) {
   }
   out << "{\n  \"bench\": \"micro_sim\",\n";
   out << "  \"smoke\": " << (opts.smoke ? "true" : "false") << ",\n";
-  out << "  \"batched\": " << (opts.batch ? "true" : "false") << ",\n";
   out << "  \"min_speedup\": " << kMinSpeedup << ",\n";
   out << "  \"min_speedup_floor\": " << kMinSpeedupFloor << ",\n";
   out << "  \"min_fast_circuits\": " << kMinFastCircuits << ",\n";

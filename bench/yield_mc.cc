@@ -7,15 +7,11 @@
 //   2. the headline yield numbers (C vs C ∪ C̃) at the shipped clock Δ;
 //   3. a rare-failure configuration (small sigma) where importance sampling
 //      with 1/5 of the trials must land within its confidence interval of
-//      the plain-MC residual-error estimate;
-//   4. unless --no-batch, the same configuration once on the scalar engine
-//      — every semantic count and double must be bit-identical to the
-//      64-lane batched run (the transparency gate).
+//      the plain-MC residual-error estimate.
 //
-// Usage: yield_mc [--batch|--no-batch] [circuit] [trials] [sigma]
+// Usage: yield_mc [circuit] [trials] [sigma]
 //   circuit defaults to the largest paper-suite module (sparc_ifu_ifqdp);
-//   trials defaults to 10000. --no-batch runs everything on the scalar
-//   engine (and skips the batch identity gate), keeping it benchmarkable.
+//   trials defaults to 10000.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -43,18 +39,7 @@ bool SameCounts(const YieldMcResult& a, const YieldMcResult& b) {
 }
 
 int Main(int argc, char** argv) {
-  bool batch = true;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--batch") {
-      batch = true;
-    } else if (arg == "--no-batch") {
-      batch = false;
-    } else {
-      pos.push_back(arg);
-    }
-  }
+  const std::vector<std::string> pos(argv + 1, argv + argc);
   const std::string circuit = !pos.empty() ? pos[0] : "sparc_ifu_ifqdp";
   const std::size_t trials =
       pos.size() > 1 ? static_cast<std::size_t>(std::atoll(pos[1].c_str()))
@@ -76,7 +61,6 @@ int Main(int argc, char** argv) {
   base.seed = 20090420;
   base.model.sigma = sigma;
   base.classify_transitions = 8;
-  base.use_batch_sim = batch;
 
   // --- 1. thread scaling + bit-identity ---------------------------------
   YieldMcResult by_threads[3];
@@ -114,22 +98,6 @@ int Main(int argc, char** argv) {
                            rare_plain.ConfidenceInterval95();
   const bool is_consistent = gap <= tolerance;
 
-  // --- 3. batched-vs-scalar transparency gate ---------------------------
-  // The 64-lane engine must be invisible in the results: rerun the headline
-  // configuration on the scalar oracle and demand bit-identical counts.
-  bool batch_identical = true;
-  double scalar_seconds = 0;
-  double batch_speedup = 0;
-  if (batch) {
-    YieldMcOptions scalar_opts = base;
-    scalar_opts.threads = 8;
-    scalar_opts.use_batch_sim = false;
-    const YieldMcResult scalar_run = EstimateTimingYield(flow, scalar_opts);
-    batch_identical = SameCounts(mc, scalar_run);
-    scalar_seconds = scalar_run.seconds;
-    batch_speedup = mc.seconds > 0 ? scalar_run.seconds / mc.seconds : 0;
-  }
-
   // --- JSON report ------------------------------------------------------
   std::printf("{\n");
   std::printf("  \"circuit\": \"%s\",\n", circuit.c_str());
@@ -151,16 +119,9 @@ int Main(int argc, char** argv) {
   std::printf("  \"speedup_8_vs_1\": %.2f,\n", speedup_8v1);
   std::printf("  \"counts_bit_identical\": %s,\n",
               identical ? "true" : "false");
-  std::printf("  \"batched\": %s,\n", batch ? "true" : "false");
-  if (batch) {
-    std::printf("  \"batch_vs_scalar_identical\": %s,\n",
-                batch_identical ? "true" : "false");
-    std::printf("  \"scalar_seconds\": %.3f,\n", scalar_seconds);
-    std::printf("  \"batch_speedup\": %.2f,\n", batch_speedup);
-    std::printf("  \"words_simulated\": %llu,\n",
-                static_cast<unsigned long long>(mc.words_simulated));
-    std::printf("  \"lane_utilization\": %.4f,\n", mc.lane_utilization);
-  }
+  std::printf("  \"words_simulated\": %llu,\n",
+              static_cast<unsigned long long>(mc.words_simulated));
+  std::printf("  \"lane_utilization\": %.4f,\n", mc.lane_utilization);
   std::printf("  \"yield_original\": %.6f,\n", mc.yield_original);
   std::printf("  \"yield_protected\": %.6f,\n", mc.yield_protected);
   std::printf("  \"residual_rate\": %.6g,\n", mc.residual_rate);
@@ -187,7 +148,7 @@ int Main(int argc, char** argv) {
   std::printf("  }\n");
   std::printf("}\n");
 
-  return (identical && is_consistent && batch_identical) ? 0 : 1;
+  return (identical && is_consistent) ? 0 : 1;
 }
 
 }  // namespace

@@ -69,6 +69,7 @@
 
 #include "fleet/fleet.h"
 #include "fleet/router.h"
+#include "harness/bench_runner.h"
 #include "harness/flow.h"
 #include "harness/inject.h"
 #include "harness/optimize.h"
@@ -285,7 +286,8 @@ int CmdInject(std::vector<std::string> args) {
   options.delta_fraction =
       std::stod(GetFlag(args, "--delta-fraction").value_or("1.0"));
   options.seed = std::stoull(GetFlag(args, "--seed").value_or("2009"));
-  options.threads = std::stoi(GetFlag(args, "--threads").value_or("1"));
+  options.threads =
+      ParseThreadCount(GetFlag(args, "--threads").value_or("1"));
   const auto repro_dir = GetFlag(args, "--repro-dir");
 
   const Network ti = LoadCircuit(args[0]);
@@ -396,7 +398,8 @@ int CmdOptimize(std::vector<std::string> args) {
   options.generations =
       std::stoull(GetFlag(args, "--generations").value_or("6"));
   options.seed = std::stoull(GetFlag(args, "--seed").value_or("2009"));
-  options.threads = std::stoi(GetFlag(args, "--threads").value_or("1"));
+  options.threads =
+      ParseThreadCount(GetFlag(args, "--threads").value_or("1"));
   options.spot_check = !GetSwitch(args, "--no-spot-check");
   OptEvalConfig config;
   config.yield_trials =

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/bench_runner.h"
 #include "harness/flow.h"
 #include "harness/table.h"
 #include "harness/yield.h"
@@ -76,7 +77,8 @@ int main(int argc, char** argv) {
     const bool use_is = GetSwitch(args, "--is");
     const std::size_t trials = static_cast<std::size_t>(
         std::stoll(GetFlag(args, "--trials").value_or("2000")));
-    const int threads = std::stoi(GetFlag(args, "--threads").value_or("4"));
+    const int threads =
+        ParseThreadCount(GetFlag(args, "--threads").value_or("4"));
     const std::uint64_t seed = static_cast<std::uint64_t>(
         std::stoull(GetFlag(args, "--seed").value_or("2009")));
     const std::string model_name = GetFlag(args, "--model").value_or("gauss");

@@ -1,8 +1,9 @@
 // Shared driver for the multi-circuit table benchmarks (table1_spcf,
-// table2_overhead, micro_bdd): a tiny CLI parser and a deterministic
-// parallel map over circuits.
+// table2_overhead, micro_bdd): a tiny CLI parser, the thread-count parser
+// every front-end's --threads flag shares, and a deterministic parallel map
+// over circuits.
 //
-// Determinism contract, mirroring the Monte-Carlo engine of PR 1: every
+// Determinism contract, mirroring the Monte-Carlo engine: every
 // circuit is an independent task with its own BddManager, each task writes
 // only its own result slot, and all printing happens serially afterwards in
 // index order. Table output is therefore byte-identical at any thread count
@@ -22,14 +23,16 @@ struct BenchOptions {
   int threads = 1;        // --threads=N
   bool smoke = false;     // --smoke: reduced circuit list for CI
   bool reorder = false;   // --reorder / --no-reorder: sifting in the flows
-  bool batch = true;      // --batch / --no-batch: 64-lane batched simulation
   std::string json_path;  // --json=PATH: machine-readable result dump
 };
 
-// Parses --threads=N, --smoke, --reorder/--no-reorder, --batch/--no-batch
-// and --json=PATH; throws std::invalid_argument on an unknown flag or a
-// malformed value.
+// Parses --threads=N, --smoke, --reorder/--no-reorder and --json=PATH;
+// throws std::invalid_argument on an unknown flag or a malformed value.
 BenchOptions ParseBenchArgs(int argc, char** argv);
+
+// Parses a worker-thread count: a decimal integer in [1, 1024]. Throws
+// std::invalid_argument otherwise. Every --threads flag goes through it.
+int ParseThreadCount(const std::string& value);
 
 // Runs row(i) for every i in [0, n) across `threads` pool workers and
 // returns the results in index order. Row must be default-constructible and

@@ -54,9 +54,9 @@ struct SiteContext {
 };
 
 // Draws trial t into `lane` of pattern word `word` and returns its fault —
-// the one generator of the campaign: the batched workers, the scalar path
-// and the escape-record reduction all regenerate a trial through it, so the
-// parallel phase only has to store a small outcome slot per trial.
+// the one generator of the campaign: the workers and the escape-record
+// reduction both generate a trial through it, so the parallel phase only
+// has to store a small outcome slot per trial.
 DelayFault DrawTrial(LanePatterns& patterns, std::size_t word, int lane,
                      const InjectOptions& options, double delta, GateId site,
                      const SiteContext& ctx, std::size_t trial,
@@ -90,7 +90,7 @@ DelayFault DrawTrial(LanePatterns& patterns, std::size_t word, int lane,
 }
 
 // Trial t through DrawTrial as one fault plus one pattern pair, for the
-// scalar engine and escape records.
+// escape records (and through them the shrinker).
 struct TrialSetup {
   DelayFault fault;
   std::vector<bool> previous;
@@ -552,9 +552,6 @@ InjectionCampaignResult RunInjectionCampaign(
              "guard_band must be in (0, 1), got " << options.guard_band);
   SM_REQUIRE(options.vectors_per_site > 0, "need at least one vector per site");
   SM_REQUIRE(options.chunk > 0, "chunk must be positive");
-  SM_REQUIRE(options.batch_width >= 1 && options.batch_width <= kBatchLanes,
-             "batch_width must be in [1, " << kBatchLanes << "], got "
-                                           << options.batch_width);
   SM_REQUIRE(std::is_sorted(options.waived_outputs.begin(),
                             options.waived_outputs.end()) &&
                  std::adjacent_find(options.waived_outputs.begin(),
@@ -620,38 +617,11 @@ InjectionCampaignResult RunInjectionCampaign(
   };
   std::vector<Slot> slots(trials);
 
-  // Batched-run telemetry per chunk slot — thread-count invariant because
+  // Simulation telemetry per chunk slot — thread-count invariant because
   // the packing depends only on the chunk boundaries.
   const std::size_t num_chunks = (trials + options.chunk - 1) / options.chunk;
   std::vector<std::uint64_t> chunk_words(num_chunks, 0);
   std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
-
-  const auto run_trials_scalar = [&](std::size_t lo, std::size_t hi) {
-    LanePatterns patterns(prot.NumInputs());
-    for (std::size_t t = lo; t < hi; ++t) {
-      // Cancellation: skip instead of throwing across the pool; the
-      // post-pool Check() raises the typed error after the workers drain.
-      if (options.cancel != nullptr &&
-          options.cancel->Status() != ErrorCode::kOk) {
-        return;
-      }
-      if (options.cancel != nullptr) options.cancel->ConsumeWork(1);
-      const std::size_t site_index = t / options.vectors_per_site;
-      const std::size_t vector_index = t % options.vectors_per_site;
-      const TrialSetup s =
-          MakeTrialSetup(patterns, options, delta, sites[site_index],
-                         contexts[site_index], t, vector_index);
-      std::size_t escaping = 0;
-      std::size_t taps = 0;
-      Slot slot;
-      slot.outcome = ClassifyFaultTrial(
-          protected_circuit, s.fault, s.previous, s.next, clock,
-          protected_clock, &escaping, &taps, &options.waived_outputs);
-      slot.escaping_output = static_cast<std::uint32_t>(escaping);
-      slot.masked_taps = static_cast<std::uint32_t>(taps);
-      slots[t] = slot;
-    }
-  };
 
   // Outputs whose errors count as escapes, by output index.
   std::vector<GateId> judged_drivers;
@@ -665,8 +635,8 @@ InjectionCampaignResult RunInjectionCampaign(
     judged_index.push_back(static_cast<std::uint32_t>(i));
   }
 
-  // A batched worker's reusable state: one engine and one pattern word per
-  // worker thread rather than per chunk.
+  // A worker's reusable state: one engine and one pattern word per worker
+  // thread rather than per chunk.
   struct Worker {
     explicit Worker(const MappedNetlist& net)
         : patterns(net.NumInputs()), engine(net) {}
@@ -677,13 +647,13 @@ InjectionCampaignResult RunInjectionCampaign(
   ScratchPool<Worker> workers;
   const auto make_worker = [&] { return std::make_unique<Worker>(prot); };
 
-  // Batched path: each lane carries one (fault, vector) trial — a sparse
-  // extra-delay override for a permanent fault, a per-lane transient for a
-  // one-shot edge — and each word is classified a word at a time, mirroring
-  // ClassifyFaultTrial: an escape at the first judged output in error, else
-  // masked when some tap saw a late y under a raised e.
-  const auto run_trials_batched = [&](std::size_t lo, std::size_t hi) {
-    const auto width = static_cast<std::size_t>(options.batch_width);
+  // The one trial path: each lane carries one (fault, vector) trial — a
+  // sparse extra-delay override for a permanent fault, a per-lane transient
+  // for a one-shot edge — and each word is classified a word at a time,
+  // mirroring ClassifyFaultTrial: an escape at the first judged output in
+  // error, else masked when some tap saw a late y under a raised e.
+  const auto run_trials = [&](std::size_t lo, std::size_t hi) {
+    constexpr auto width = static_cast<std::size_t>(kBatchLanes);
     auto w = workers.Acquire(make_worker);
     BatchEventSimConfig& cfg = w->cfg;
     cfg.clock = protected_clock;
@@ -749,14 +719,7 @@ InjectionCampaignResult RunInjectionCampaign(
   };
 
   ThreadPool pool(options.threads);
-  pool.ParallelFor(0, trials, options.chunk,
-                   [&](std::size_t lo, std::size_t hi) {
-                     if (options.use_batch_sim) {
-                       run_trials_batched(lo, hi);
-                     } else {
-                       run_trials_scalar(lo, hi);
-                     }
-                   });
+  pool.ParallelFor(0, trials, options.chunk, run_trials);
   // Raise the typed error only after the pool has drained: workers skipped
   // rather than threw, so no exception crosses a thread boundary.
   if (options.cancel != nullptr) options.cancel->Check();

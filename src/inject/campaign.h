@@ -104,24 +104,17 @@ struct InjectOptions {
   bool sensitize = true;
   std::size_t bdd_node_limit = 8'000'000;  // sensitization manager cap
   int threads = 1;
-  std::size_t chunk = 64;  // trials per thread-pool task (one full batch)
+  std::size_t chunk = 64;  // trials per thread-pool task (one full word)
   std::uint64_t seed = 2009;
-  // Pack each chunk's trials into 64-lane batched simulation runs
-  // (batch_sim.h): per-lane sparse extra-delay overrides model permanent
-  // faults, per-lane transient faults model one-shot edges. Outcomes are
-  // bit-identical to the scalar path, which stays available for
-  // benchmarking and differential testing.
-  bool use_batch_sim = true;
-  int batch_width = 64;  // lanes per batched run, in [1, 64]
   // Minimize escapes into smallest reproducers (sequential, deterministic).
   bool shrink = true;
   std::size_t max_shrink_escapes = 4;
   std::size_t max_escape_records = 64;
-  // Cooperative cancellation, polled per (site, vector) trial: a tripped
-  // token makes the remaining trials no-ops and the post-pool check throws
-  // CancelledError before the sequential reduction — a cancelled campaign
-  // never returns partial counts. Also attached to the sensitization BDD
-  // manager. Not owned.
+  // Cooperative cancellation, polled before each simulation word (up to 64
+  // trials): a tripped token makes the remaining trials no-ops and the
+  // post-pool check throws CancelledError before the sequential reduction —
+  // a cancelled campaign never returns partial counts. Also attached to the
+  // sensitization BDD manager. Not owned.
   const CancelToken* cancel = nullptr;
   // Output indices (strictly ascending) whose errors are NOT guarantee
   // violations: under a partial protection scope, a critical output left
@@ -171,9 +164,9 @@ struct InjectionCampaignResult {
   double seconds = 0;
   double trials_per_second = 0;
 
-  // Batched-simulation telemetry (zero on the scalar path); deterministic
-  // for fixed options and excluded from the scalar-vs-batched identity
-  // contract over the semantic fields above.
+  // Simulation telemetry; deterministic for fixed options — chunk
+  // boundaries decide the packing — so a different chunk size changes these
+  // fields and none of the ones above.
   std::uint64_t words_simulated = 0;
   std::uint64_t lanes_simulated = 0;
   double lane_utilization = 0;  // lanes / (words * 64)

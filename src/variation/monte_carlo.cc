@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "sim/batch_sim.h"
-#include "sim/event_sim.h"
 #include "sim/lane_patterns.h"
 #include "sta/sta.h"
 #include "util/check.h"
@@ -141,9 +140,6 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
                                const YieldMcOptions& options) {
   SM_REQUIRE(options.trials > 0, "need at least one trial");
   SM_REQUIRE(options.chunk > 0, "chunk must be positive");
-  SM_REQUIRE(options.batch_width >= 1 && options.batch_width <= kBatchLanes,
-             "batch_width must be in [1, " << kBatchLanes << "], got "
-                                           << options.batch_width);
   const MappedNetlist& prot = protected_circuit.netlist;
 
   // Nominal timing fixes the clock and (for importance sampling) the set of
@@ -260,7 +256,6 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
 
   std::vector<TrialOutcome> outcomes(options.trials);
   const int transitions = std::max(0, options.classify_transitions);
-  const auto width = static_cast<std::size_t>(options.batch_width);
 
   // Samples trial t into `scale`, runs its one STA and the escape scan.
   // Returns true when the trial needs classification patterns; its late
@@ -336,61 +331,24 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     }
   };
 
-  // The scalar path — the differential oracle for the batched one: each
-  // transition is drawn into a single lane, unpacked and simulated by the
-  // scalar engine, stopping at the first one that shows a residual error.
-  const auto run_chunk_scalar = [&](std::size_t lo, std::size_t hi) {
-    auto w = workers.Acquire(make_worker);
-    std::vector<double> scale(num_elements);
-    for (std::size_t t = lo; t < hi; ++t) {
-      if (!time_trial(t, *w, scale.data())) continue;
-      TrialOutcome& out = outcomes[t];
-      Rng rng = Rng::ForStream(options.seed, t + kClassifyStreamOffset);
-      EventSimConfig cfg;
-      cfg.clock = prot_clock;
-      cfg.delay_scale = scale;
-      for (int i = 0; i < transitions; ++i) {
-        w->patterns.Start(0);
-        draw_transition(rng, *w, scale.data(), i, 0, 0);
-        w->patterns.Finish(0);
-        const EventSimResult sim = SimulateTransition(
-            prot, LanePatterns::Unpack(w->patterns.previous(0), 0),
-            LanePatterns::Unpack(w->patterns.next(0), 0), cfg);
-        for (const GateId d : protected_drivers) {
-          if (sim.TimingErrorAt(d)) {
-            ++out.residual_events;
-            out.residual = true;
-          }
-        }
-        for (const auto& tap : protected_circuit.taps) {
-          // The copied original output is judged at the raw clock; with the
-          // indicator raised the mux absorbed the error — the paper's
-          // e_i·(y_i ⊕ ỹ_i) wearout events.
-          if (sim.sampled[tap.indicator] &&
-              sim.settle_at[tap.original] > clock + kEps) {
-            ++out.masked_events;
-          }
-        }
-        if (out.residual) break;  // classified; spare the remaining budget
-      }
-      out.excited = out.masked_events > 0 || out.residual_events > 0;
-    }
-  };
-
-  // Batched-run telemetry per chunk slot: the packing depends only on the
+  // Simulation telemetry per chunk slot: the packing depends only on the
   // chunk boundaries, so the totals are thread-count invariant.
   const std::size_t num_chunks =
       (options.trials + options.chunk - 1) / options.chunk;
   std::vector<std::uint64_t> chunk_words(num_chunks, 0);
   std::vector<std::uint64_t> chunk_lanes(num_chunks, 0);
 
-  const auto run_chunk_batched = [&](std::size_t lo, std::size_t hi) {
+  // The one trial path: each chunk times its trials (Phase A), simulates
+  // the classification transitions of its violating trials packed 64 lanes
+  // to a word (Phase B) and folds the per-lane counts into the outcomes
+  // (Phase C).
+  const auto run_chunk = [&](std::size_t lo, std::size_t hi) {
+    constexpr auto width = static_cast<std::size_t>(kBatchLanes);
     auto w = workers.Acquire(make_worker);
     // Phase A: sample, STA and escape scan per trial. A violating trial
     // keeps its delay plane and draws every classification transition
-    // straight into its lanes. Unlike the scalar loop it never stops early;
-    // the extra draws come from the trial's private classify stream, so
-    // nothing downstream shifts.
+    // straight into its lanes; the draws come from the trial's private
+    // classify stream, so no other trial's randomness depends on them.
     w->pending.clear();
     std::size_t lanes = 0;
     for (std::size_t t = lo; t < hi; ++t) {
@@ -440,6 +398,9 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
         }
       }
       for (const auto& tap : protected_circuit.taps) {
+        // The copied original output is judged at the raw clock; with the
+        // indicator raised the mux absorbed the error — the paper's
+        // e_i·(y_i ⊕ ỹ_i) wearout events.
         for (std::uint64_t e = sim.sampled[tap.indicator] & sim.lane_mask;
              e != 0; e &= e - 1) {
           const int l = std::countr_zero(e);
@@ -452,10 +413,11 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     chunk_words[lo / options.chunk] += words;
     chunk_lanes[lo / options.chunk] += lanes;
 
-    // Phase C: fold the per-transition counts back in scalar order,
-    // replaying the scalar loop's stop-after-first-residual-transition
-    // bookkeeping (including the structurally-residual case, which the
-    // scalar path simulates for exactly one transition).
+    // Phase C: fold each trial's per-transition counts in transition order,
+    // stopping after its first residual transition. Residual is final, so
+    // the events of later transitions are not counted even though they were
+    // simulated; a trial the escape scan already found residual therefore
+    // counts its first transition only.
     for (std::size_t k = 0; k < w->pending.size(); ++k) {
       TrialOutcome& out = outcomes[w->pending[k]];
       for (int j = 0; j < transitions; ++j) {
@@ -476,14 +438,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   WallTimer timer;
   {
     ThreadPool pool(options.threads);
-    pool.ParallelFor(0, options.trials, options.chunk,
-                     [&](std::size_t lo, std::size_t hi) {
-                       if (options.use_batch_sim) {
-                         run_chunk_batched(lo, hi);
-                       } else {
-                         run_chunk_scalar(lo, hi);
-                       }
-                     });
+    pool.ParallelFor(0, options.trials, options.chunk, run_chunk);
   }
   // Raise the typed error only after the pool has drained: the workers
   // skipped (never threw), so no exception crosses a thread boundary.

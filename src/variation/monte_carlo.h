@@ -35,8 +35,11 @@
 // bit-identical for any thread count.
 //
 // Per trial the engine allocates nothing: each worker thread reuses one set
-// of arrival and delay-plane buffers, one batched simulator, and lane words
-// into which the classification patterns are drawn directly.
+// of arrival and delay-plane buffers, one batched simulator (sim/batch_sim.h),
+// and lane words into which the classification patterns are drawn directly.
+// A chunk's classification transitions run 64 lanes to a word; a trial
+// counts the events of its transitions in order up to and including the
+// first one that shows a residual error.
 //
 // Importance sampling (ISLE-style): the Gaussians of the gates within
 // `is_guard_fraction`·clock of their deadline are shifted toward slowdown
@@ -79,20 +82,11 @@ struct YieldMcOptions {
   // remainder is treated as masked.
   std::size_t scan_budget = 200000;
 
-  // Pack the classification simulations of a chunk's violating trials into
-  // the 64-lane batched engine (batch_sim.h) instead of running them one at
-  // a time. Results are bit-identical either way — the scalar path stays as
-  // the differential oracle and stays benchmarkable via `--batch=off`.
-  bool use_batch_sim = true;
-  // Lanes packed per batched run, in [1, 64]. Smaller widths exist for the
-  // width-identity tests; throughput wants 64.
-  int batch_width = 64;
-
-  // Cooperative cancellation, polled per trial (scalar) / per chunk
-  // (batched): a tripped token makes the remaining trials no-ops and the
-  // post-pool check throws CancelledError before any reduction. Per-trial
-  // outcomes already produced are discarded with the throw, so a cancelled
-  // run never returns a partial estimate. Not owned.
+  // Cooperative cancellation, polled before each trial is sampled: a
+  // tripped token makes the remaining trials no-ops and the post-pool check
+  // throws CancelledError before any reduction. Per-trial outcomes already
+  // produced are discarded with the throw, so a cancelled run never returns
+  // a partial estimate. Not owned.
   const CancelToken* cancel = nullptr;
 
   bool importance_sampling = false;
@@ -130,10 +124,9 @@ struct YieldMcResult {
   double seconds = 0;
   double trials_per_second = 0;
 
-  // Batched-simulation telemetry (zero on the scalar path). Deterministic
-  // for fixed options — chunk boundaries, not thread scheduling, decide the
-  // packing — but excluded from the scalar-vs-batched identity contract,
-  // which covers only the semantic fields above.
+  // Simulation telemetry. Deterministic for fixed options — chunk
+  // boundaries, not thread scheduling, decide the packing — so a different
+  // chunk size changes these fields and none of the ones above.
   std::uint64_t words_simulated = 0;     // batched engine runs
   std::uint64_t lanes_simulated = 0;     // transitions packed into them
   double lane_utilization = 0;           // lanes / (words * 64)

@@ -8,9 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "harness/flow.h"
-#include "harness/inject.h"
-#include "harness/yield.h"
 #include "liblib/lsi10k.h"
 #include "map/tech_map.h"
 #include "sim/batch_sim.h"
@@ -19,7 +16,6 @@
 #include "sim/logic_sim.h"
 #include "sta/sta.h"
 #include "suite/circuit_gen.h"
-#include "suite/structured.h"
 #include "util/rng.h"
 
 namespace sm {
@@ -334,145 +330,6 @@ TEST(MappedNetlist, EvalParallelMatchesScalarSteadyState) {
     for (GateId id = 0; id < net.NumElements(); ++id) {
       ASSERT_EQ((batch[id] >> lane) & 1u, scalar[id] ? 1u : 0u)
           << "element " << id << " lane " << lane;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Consumer bit-identity: the Monte-Carlo yield engine and the injection
-// campaign must produce identical results (doubles included) whether they
-// classify trials through the scalar engine or the batched one, at any batch
-// width and thread count.
-
-class BatchConsumersTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    lib_ = new Library(Lsi10kLike());
-    flow_ = new FlowResult(RunMaskingFlow(RippleComparatorNetwork(6), *lib_));
-    ASSERT_TRUE(flow_->verification.ok());
-  }
-  static void TearDownTestSuite() {
-    delete flow_;
-    delete lib_;
-    flow_ = nullptr;
-    lib_ = nullptr;
-  }
-
-  static Library* lib_;
-  static FlowResult* flow_;
-};
-
-Library* BatchConsumersTest::lib_ = nullptr;
-FlowResult* BatchConsumersTest::flow_ = nullptr;
-
-void ExpectSameYield(const YieldMcResult& a, const YieldMcResult& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.violations_original, b.violations_original);
-  EXPECT_EQ(a.violations_protected, b.violations_protected);
-  EXPECT_EQ(a.masked_trials, b.masked_trials);
-  EXPECT_EQ(a.residual_trials, b.residual_trials);
-  EXPECT_EQ(a.unexcited_trials, b.unexcited_trials);
-  EXPECT_EQ(a.scan_truncations, b.scan_truncations);
-  EXPECT_EQ(a.masked_events, b.masked_events);
-  EXPECT_EQ(a.residual_events, b.residual_events);
-  EXPECT_EQ(a.yield_original, b.yield_original);
-  EXPECT_EQ(a.yield_protected, b.yield_protected);
-  EXPECT_EQ(a.residual_rate, b.residual_rate);
-  EXPECT_EQ(a.residual_stderr, b.residual_stderr);
-  EXPECT_EQ(a.relative_error, b.relative_error);
-  EXPECT_EQ(a.effective_samples, b.effective_samples);
-  EXPECT_EQ(a.clock, b.clock);
-  EXPECT_EQ(a.protected_clock, b.protected_clock);
-}
-
-void ExpectSameCampaign(const InjectionCampaignResult& a,
-                        const InjectionCampaignResult& b) {
-  EXPECT_EQ(a.sites, b.sites);
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.benign, b.benign);
-  EXPECT_EQ(a.masked, b.masked);
-  EXPECT_EQ(a.escapes, b.escapes);
-  EXPECT_EQ(a.masked_events, b.masked_events);
-  EXPECT_EQ(a.clock, b.clock);
-  EXPECT_EQ(a.delta, b.delta);
-  ASSERT_EQ(a.escape_records.size(), b.escape_records.size());
-  for (std::size_t i = 0; i < a.escape_records.size(); ++i) {
-    const EscapeRecord& x = a.escape_records[i];
-    const EscapeRecord& y = b.escape_records[i];
-    EXPECT_EQ(x.trial, y.trial);
-    EXPECT_EQ(x.site, y.site);
-    EXPECT_EQ(x.transition_index, y.transition_index);
-    EXPECT_EQ(x.delta, y.delta);
-    EXPECT_EQ(x.previous, y.previous);
-    EXPECT_EQ(x.next, y.next);
-    EXPECT_EQ(x.output_index, y.output_index);
-  }
-}
-
-TEST_F(BatchConsumersTest, YieldMcBitIdenticalAcrossWidthsAndThreads) {
-  YieldMcOptions options;
-  options.trials = 400;
-  options.seed = 20090209;
-  options.model.sigma = 0.15;
-  options.classify_transitions = 4;
-  options.use_batch_sim = false;
-  const YieldMcResult scalar = EstimateTimingYield(*flow_, options);
-  ASSERT_GT(scalar.violations_protected, 0u)
-      << "fixture no longer exercises the classification simulator";
-  ASSERT_GT(scalar.masked_events + scalar.residual_events, 0u);
-
-  options.use_batch_sim = true;
-  for (const int width : {1, 7, 64}) {
-    options.batch_width = width;
-    for (const int threads : {1, 8}) {
-      options.threads = threads;
-      const YieldMcResult batched = EstimateTimingYield(*flow_, options);
-      ExpectSameYield(scalar, batched);
-      EXPECT_GT(batched.words_simulated, 0u) << "batched path did not run";
-      EXPECT_GT(batched.lane_utilization, 0.0);
-    }
-  }
-  EXPECT_EQ(scalar.words_simulated, 0u);  // scalar path reports no batches
-}
-
-TEST_F(BatchConsumersTest, YieldMcImportanceSamplingBitIdentical) {
-  YieldMcOptions options;
-  options.trials = 300;
-  options.seed = 777;
-  options.model.sigma = 0.12;
-  options.classify_transitions = 4;
-  options.importance_sampling = true;
-  options.use_batch_sim = false;
-  const YieldMcResult scalar = EstimateTimingYield(*flow_, options);
-  options.use_batch_sim = true;
-  options.threads = 4;
-  const YieldMcResult batched = EstimateTimingYield(*flow_, options);
-  ExpectSameYield(scalar, batched);
-}
-
-TEST_F(BatchConsumersTest, CampaignBitIdenticalForBothFaultKinds) {
-  for (const FaultKind kind :
-       {FaultKind::kPermanentDelta, FaultKind::kTransient}) {
-    InjectOptions options;
-    options.fault_kind = kind;
-    options.vectors_per_site = 5;
-    options.delta_fraction = 3.0;  // beyond the guarantee: escapes expected
-    options.seed = 31;
-    options.use_batch_sim = false;
-    const InjectionCampaignResult scalar =
-        RunFaultInjectionCampaign(*flow_, options);
-    ASSERT_GT(scalar.trials, 0u);
-
-    options.use_batch_sim = true;
-    for (const int width : {7, 64}) {
-      options.batch_width = width;
-      for (const int threads : {1, 8}) {
-        options.threads = threads;
-        const InjectionCampaignResult batched =
-            RunFaultInjectionCampaign(*flow_, options);
-        ExpectSameCampaign(scalar, batched);
-        EXPECT_GT(batched.words_simulated, 0u);
-      }
     }
   }
 }

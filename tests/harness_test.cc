@@ -129,7 +129,18 @@ TEST(BenchRunner, RejectsMalformedFlags) {
   EXPECT_THROW(parse({"--threads="}), std::invalid_argument);
   EXPECT_THROW(parse({"--json="}), std::invalid_argument);
   EXPECT_THROW(parse({"--frobnicate"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--no-batch"}), std::invalid_argument);
   EXPECT_THROW(parse({"extra"}), std::invalid_argument);
+}
+
+TEST(BenchRunner, ThreadCountIsBoundedToOneThrough1024) {
+  EXPECT_EQ(ParseThreadCount("8"), 8);
+  EXPECT_EQ(ParseThreadCount("1"), 1);
+  EXPECT_EQ(ParseThreadCount("1024"), 1024);
+  EXPECT_THROW(ParseThreadCount("0"), std::invalid_argument);
+  EXPECT_THROW(ParseThreadCount("1025"), std::invalid_argument);
+  EXPECT_THROW(ParseThreadCount("2x"), std::invalid_argument);
+  EXPECT_THROW(ParseThreadCount(""), std::invalid_argument);
 }
 
 TEST(BenchRunner, ParallelRowsDeterministicAcrossThreadCounts) {

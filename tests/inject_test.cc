@@ -418,5 +418,106 @@ TEST(Inject, CampaignMatchesThePins) {
   }
 }
 
+// Golden pins of the campaign on a ripple comparator, recorded from the
+// scalar trial loop the campaign used to carry as the batched loop's oracle
+// (one ClassifyFaultTrial per trial), at three and eight times the
+// guarantee window for both fault kinds: the counts at the default 64-trial
+// chunk and at a 7-trial chunk, and every (shrunk) escape record. Every pin
+// holds at 1 and 8 threads.
+TEST(Inject, ComparatorMatchesTheScalarLoopPins) {
+  const Library lib = Lsi10kLike();
+  const FlowResult flow = RunMaskingFlow(RippleComparatorNetwork(6), lib);
+  ASSERT_TRUE(flow.verification.ok());
+  struct Row {
+    FaultKind kind;
+    double delta_fraction;
+    const char* counts[2];  // at chunk 64 and chunk 7
+    std::vector<std::string> records;
+  };
+  const Row rows[] = {
+      {FaultKind::kPermanentDelta,
+       3.0,
+       {"sites=12 trials=60 benign=48 masked=12 escapes=0 me=12 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.4e147ae034cd3p+2 records=0 words=1 lanes=60",
+        "sites=12 trials=60 benign=48 masked=12 escapes=0 me=12 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.4e147ae034cd3p+2 records=0 words=9 lanes=60"},
+       {}},
+      {FaultKind::kTransient,
+       3.0,
+       {"sites=12 trials=60 benign=56 masked=4 escapes=0 me=4 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.4e147ae034cd3p+2 records=0 words=1 lanes=60",
+        "sites=12 trials=60 benign=56 masked=4 escapes=0 me=4 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.4e147ae034cd3p+2 records=0 words=9 lanes=60"},
+       {}},
+      {FaultKind::kPermanentDelta,
+       8.0,
+       {"sites=12 trials=60 benign=46 masked=12 escapes=2 me=12 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.bd70a3d680ccfp+3 records=2 words=1 lanes=60",
+        "sites=12 trials=60 benign=46 masked=12 escapes=2 me=12 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.bd70a3d680ccfp+3 records=2 words=9 lanes=60"},
+       {"{\"trial\":46,\"site\":33,\"site_name\":\"n162\","
+        "\"kind\":\"permanent\",\"transition_index\":0,"
+        "\"delta\":10.004999999281246,\"campaign_delta\":13.919999998999996,"
+        "\"previous\":\"001011101011\",\"next\":\"001111000011\","
+        "\"output_index\":0,\"output_name\":\"ge\",\"shrunk\":true,"
+        "\"clock\":17.4,\"protected_clock\":19.799999999999997}",
+        "{\"trial\":58,\"site\":36,\"site_name\":\"n204\","
+        "\"kind\":\"permanent\",\"transition_index\":0,"
+        "\"delta\":13.009218749065425,\"campaign_delta\":13.919999998999996,"
+        "\"previous\":\"000000000001\",\"next\":\"000001000000\","
+        "\"output_index\":0,\"output_name\":\"ge\",\"shrunk\":true,"
+        "\"clock\":17.4,\"protected_clock\":19.799999999999997}"}},
+      {FaultKind::kTransient,
+       8.0,
+       {"sites=12 trials=60 benign=55 masked=4 escapes=1 me=4 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.bd70a3d680ccfp+3 records=1 words=1 lanes=60",
+        "sites=12 trials=60 benign=55 masked=4 escapes=1 me=4 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "delta=0x1.bd70a3d680ccfp+3 records=1 words=9 lanes=60"},
+       {"{\"trial\":58,\"site\":36,\"site_name\":\"n204\","
+        "\"kind\":\"transient\",\"transition_index\":0,"
+        "\"delta\":13.009218749065425,\"campaign_delta\":13.919999998999996,"
+        "\"previous\":\"000000000001\",\"next\":\"000001000000\","
+        "\"output_index\":0,\"output_name\":\"ge\",\"shrunk\":true,"
+        "\"clock\":17.4,\"protected_clock\":19.799999999999997}"}},
+  };
+  for (const Row& row : rows) {
+    InjectOptions options;
+    options.fault_kind = row.kind;
+    options.vectors_per_site = 5;
+    options.delta_fraction = row.delta_fraction;
+    options.seed = 31;
+    const std::size_t chunks[2] = {options.chunk, 7};
+    for (int c = 0; c < 2; ++c) {
+      options.chunk = chunks[c];
+      for (const int threads : {1, 8}) {
+        options.threads = threads;
+        const InjectionCampaignResult r =
+            RunFaultInjectionCampaign(flow, options);
+        const std::string where = std::string(ToString(row.kind)) + " x" +
+                                  std::to_string(row.delta_fraction) +
+                                  " chunk " + std::to_string(options.chunk) +
+                                  " threads " + std::to_string(threads);
+        ASSERT_GT(r.trials, 0u) << where;
+        EXPECT_EQ(CampaignPin(r), row.counts[c]) << where;
+        ASSERT_EQ(r.escape_records.size(), row.records.size()) << where;
+        for (std::size_t i = 0; i < row.records.size(); ++i) {
+          EXPECT_EQ(EncodeEscapeRecordJson(r.escape_records[i], r.clock,
+                                           r.protected_clock),
+                    row.records[i])
+              << where << " record " << i;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sm

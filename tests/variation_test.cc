@@ -439,5 +439,103 @@ TEST_F(YieldMcGoldenTest, CountsAndEstimatesMatchThePins) {
   }
 }
 
+// Golden pins of the MC engine on two structured circuits, recorded from
+// the scalar trial loop this engine used to carry as the batched loop's
+// oracle (one SimulateTransition per classification transition): a ripple
+// comparator under plain and importance-sampled variation, and a mini ALU
+// at a sigma wide enough that simulated errors reach protected outputs
+// (re > 0, which no paper-suite pin above reaches). The semantic fields are
+// the scalar loop's; words/lanes are the batched telemetry at the default
+// 64-trial chunk and at a 7-trial chunk. Every pin holds at 1 and 8 threads.
+TEST_F(YieldMcGoldenTest, StructuredCircuitsMatchTheScalarLoopPins) {
+  const FlowResult comparator =
+      RunMaskingFlow(RippleComparatorNetwork(6), *lib_);
+  const FlowResult alu = RunMaskingFlow(MiniAluNetwork(4), *lib_);
+  ASSERT_TRUE(comparator.verification.ok());
+  ASSERT_TRUE(alu.verification.ok());
+
+  YieldMcOptions plain;
+  plain.trials = 400;
+  plain.seed = 20090209;
+  plain.model.sigma = 0.15;
+  plain.classify_transitions = 4;
+  YieldMcOptions is;
+  is.trials = 300;
+  is.seed = 777;
+  is.model.sigma = 0.12;
+  is.classify_transitions = 4;
+  is.importance_sampling = true;
+  YieldMcOptions wide = plain;
+  wide.model.sigma = 0.5;
+
+  struct Row {
+    const char* name;
+    const FlowResult* flow;
+    YieldMcOptions options;
+    const char* pins[2];  // at chunk 64 and chunk 7
+  };
+  const Row rows[] = {
+      {"comparator/plain",
+       &comparator,
+       plain,
+       {"trials=400 vo=202 vp=202 masked=201 residual=1 unexcited=190 trunc=0 "
+        "me=11 re=0 yo=0x1.fae147ae147aep-2 yp=0x1.feb851eb851ecp-1 "
+        "rate=0x1.47ae147ae147bp-9 se=0x1.47ae147ae147bp-9 rel=0x1p+0 "
+        "ess=0x1.9p+8 clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "words=15 lanes=808",
+        "trials=400 vo=202 vp=202 masked=201 residual=1 unexcited=190 trunc=0 "
+        "me=11 re=0 yo=0x1.fae147ae147aep-2 yp=0x1.feb851eb851ecp-1 "
+        "rate=0x1.47ae147ae147bp-9 se=0x1.47ae147ae147bp-9 rel=0x1p+0 "
+        "ess=0x1.9p+8 clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 "
+        "words=57 lanes=808"}},
+      {"comparator/is",
+       &comparator,
+       is,
+       {"trials=300 vo=274 vp=274 masked=271 residual=3 unexcited=249 trunc=0 "
+        "me=23 re=0 yo=0x1.d99035525a198p-2 yp=0x1.ffe3fc0720a24p-1 "
+        "rate=0x1.c03f8df5dc6bcp-13 se=0x1.16ccc8605a2fdp-13 "
+        "rel=0x1.3e73b7d1a732ap-1 ess=0x1.0eaebed49a2eep+5 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 words=19 "
+        "lanes=1096",
+        "trials=300 vo=274 vp=274 masked=271 residual=3 unexcited=249 trunc=0 "
+        "me=23 re=0 yo=0x1.d99035525a198p-2 yp=0x1.ffe3fc0720a24p-1 "
+        "rate=0x1.c03f8df5dc6bcp-13 se=0x1.16ccc8605a2fdp-13 "
+        "rel=0x1.3e73b7d1a732ap-1 ess=0x1.0eaebed49a2eep+5 "
+        "clock=0x1.1666666666666p+4 pclock=0x1.3ccccccccccccp+4 words=43 "
+        "lanes=1096"}},
+      {"alu/wide",
+       &alu,
+       wide,
+       {"trials=400 vo=251 vp=217 masked=125 residual=92 unexcited=117 "
+        "trunc=0 me=9 re=2 yo=0x1.7d70a3d70a3d8p-2 yp=0x1.8a3d70a3d70a4p-1 "
+        "rate=0x1.d70a3d70a3d71p-3 se=0x1.592d7fe7cba42p-6 "
+        "rel=0x1.773174c44ca74p-4 ess=0x1.9p+8 clock=0x1.a666666666667p+3 "
+        "pclock=0x1.f333333333334p+3 words=16 lanes=868",
+        "trials=400 vo=251 vp=217 masked=125 residual=92 unexcited=117 "
+        "trunc=0 me=9 re=2 yo=0x1.7d70a3d70a3d8p-2 yp=0x1.8a3d70a3d70a4p-1 "
+        "rate=0x1.d70a3d70a3d71p-3 se=0x1.592d7fe7cba42p-6 "
+        "rel=0x1.773174c44ca74p-4 ess=0x1.9p+8 clock=0x1.a666666666667p+3 "
+        "pclock=0x1.f333333333334p+3 words=56 lanes=868"}},
+  };
+  for (const Row& row : rows) {
+    YieldMcOptions options = row.options;
+    const YieldMcResult first = EstimateTimingYield(*row.flow, options);
+    ASSERT_GT(first.violations_protected, 0u)
+        << row.name << ": no longer exercises the classification simulator";
+    ASSERT_GT(first.masked_events + first.residual_events, 0u) << row.name;
+    const std::size_t chunks[2] = {options.chunk, 7};
+    for (int c = 0; c < 2; ++c) {
+      options.chunk = chunks[c];
+      for (const int threads : {1, 8}) {
+        options.threads = threads;
+        EXPECT_EQ(YieldPin(EstimateTimingYield(*row.flow, options)),
+                  row.pins[c])
+            << row.name << " chunk " << options.chunk << " threads "
+            << threads;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sm
