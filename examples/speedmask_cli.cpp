@@ -33,12 +33,13 @@
 //   speedmask_cli route --shard <addr> [--shard <addr> ...]
 //                  [--socket <path|host:port>] [--vnodes <n>]
 //       run the fleet router in front of running shard daemons: requests
-//       are consistent-hashed by circuit onto the shards; `stats` answers
-//       an aggregated fleet document; `shutdown` drains every shard too.
+//       are consistent-hashed by circuit onto the shards (--vnodes ring
+//       points per shard, 1-4096); `stats` answers an aggregated fleet
+//       document; `shutdown` drains every shard too.
 //   speedmask_cli fleet [--shards <n>] [--socket <path|host:port>]
 //                  [--workers <n>]
 //       run a whole sharded deployment in one process: N analysis shards
-//       plus the router, until a client sends `shutdown`.
+//       (1-64) plus the router, until a client sends `shutdown`.
 //   speedmask_cli submit <circuit> [--socket <path|host:port>]
 //                  [--method spcf|flow|yield|inject|optimize]
 //                  [--guard <frac>] [--algo node|path|short]
@@ -351,7 +352,7 @@ int CmdRoute(std::vector<std::string> args) {
   options.listen_address =
       GetFlag(args, "--socket").value_or("/tmp/speedmask_router.sock");
   options.vnodes_per_shard =
-      std::stoi(GetFlag(args, "--vnodes").value_or("64"));
+      ParseVnodeCount(GetFlag(args, "--vnodes").value_or("64"));
   FleetRouter router(std::move(options));
   router.Start();
   std::cerr << "speedmask router listening on " << router.address() << " ("
@@ -366,7 +367,8 @@ int CmdFleet(std::vector<std::string> args) {
   FleetOptions options;
   options.listen_address =
       GetFlag(args, "--socket").value_or("/tmp/speedmask_fleet.sock");
-  options.num_shards = std::stoi(GetFlag(args, "--shards").value_or("2"));
+  options.num_shards =
+      ParseShardCount(GetFlag(args, "--shards").value_or("2"));
   options.shard_options.num_workers =
       std::stoi(GetFlag(args, "--workers")
                     .value_or(std::to_string(

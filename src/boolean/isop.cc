@@ -76,6 +76,29 @@ Sop IsopComplement(const TruthTable& f, const TruthTable& dc) {
   return Isop(~f & ~dc, dc);
 }
 
+std::size_t IsopMemo::KeyHash::operator()(
+    const std::pair<int, std::uint64_t>& key) const {
+  std::uint64_t h = key.second ^ (static_cast<std::uint64_t>(key.first) << 58);
+  h *= 0x9e3779b97f4a7c15ull;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
+Sop IsopMemo::Cover(const TruthTable& f) {
+  if (f.num_vars() <= kWordVars) return Cover(f.num_vars(), f.ToWord());
+  return Isop(f, TruthTable::Const0(f.num_vars()));
+}
+
+Sop IsopMemo::Cover(int k, std::uint64_t word) {
+  SM_REQUIRE(k >= 0 && k <= kWordVars, "memoized covers take at most "
+                                           << kWordVars << " variables");
+  word &= MintermMask(k);
+  const auto it = covers_.find({k, word});
+  if (it != covers_.end()) return it->second;
+  Sop cover = Isop(TruthTable::FromWord(word, k), TruthTable::Const0(k));
+  covers_.emplace(std::make_pair(k, word), cover);
+  return cover;
+}
+
 Sop AllPrimes(const TruthTable& f) {
   const int n = f.num_vars();
   SM_REQUIRE(n <= 10, "AllPrimes is exhaustive; function too wide: " << n);

@@ -5,6 +5,10 @@
 // on-set and off-set covers that Sec. 4's masking synthesis prunes.
 #pragma once
 
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
+
 #include "boolean/sop.h"
 #include "boolean/truth_table.h"
 
@@ -16,6 +20,26 @@ Sop Isop(const TruthTable& on, const TruthTable& dc);
 
 // Convenience: exact cover of the complement, Isop(~f, dc).
 Sop IsopComplement(const TruthTable& f, const TruthTable& dc);
+
+// Memoized exact cover Isop(f, 0). The cover depends only on f, so for
+// functions of <= kWordVars variables it is computed once per (variable
+// count, truth word) and copied out on later calls; wider functions are
+// computed on every call. Synthesis, Sweep and decomposition meet the same
+// few hundred node functions thousands of times. Not thread-safe: use one
+// memo per single-threaded pass.
+class IsopMemo {
+ public:
+  Sop Cover(const TruthTable& f);
+  // The same for the k-variable function whose truth word is `word`
+  // (k <= kWordVars; bits beyond 2^k are ignored).
+  Sop Cover(int k, std::uint64_t word);
+
+ private:
+  struct KeyHash {
+    std::size_t operator()(const std::pair<int, std::uint64_t>& key) const;
+  };
+  std::unordered_map<std::pair<int, std::uint64_t>, Sop, KeyHash> covers_;
+};
 
 // All prime implicants of f, by exhaustive cube enumeration — exponential in
 // the variable count, intended for library-cell functions (<= ~8 inputs).

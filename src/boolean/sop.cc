@@ -71,6 +71,9 @@ std::uint64_t Sop::EvalParallel(
 
 TruthTable Sop::ToTruthTable() const {
   SM_REQUIRE(num_vars_ <= kMaxTruthVars, "SOP too wide for a truth table");
+  if (num_vars_ <= kWordVars) {
+    return TruthTable::FromWord(ToTruthWord(), num_vars_);
+  }
   TruthTable t = TruthTable::Const0(num_vars_);
   for (const Cube& c : cubes_) t = t | TruthTable::FromCube(c, num_vars_);
   return t;

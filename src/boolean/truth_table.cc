@@ -66,6 +66,21 @@ TruthTable TruthTable::FromBits(const std::string& bits, int num_vars) {
   return t;
 }
 
+std::uint64_t TruthTable::ToWord() const {
+  SM_REQUIRE(num_vars_ <= kWordVars,
+             "truth table too wide for one word: " << num_vars_);
+  return words_[0];
+}
+
+TruthTable TruthTable::FromWord(std::uint64_t word, int num_vars) {
+  SM_REQUIRE(num_vars >= 0 && num_vars <= kWordVars,
+             "a truth word holds at most " << kWordVars
+                                           << " variables, got " << num_vars);
+  TruthTable t(num_vars);
+  t.words_[0] = word & MintermMask(num_vars);
+  return t;
+}
+
 bool TruthTable::Get(std::uint64_t minterm) const {
   SM_REQUIRE(minterm < num_minterms_space(), "minterm out of range");
   return (words_[minterm >> 6] >> (minterm & 63)) & 1u;

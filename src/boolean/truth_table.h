@@ -42,6 +42,12 @@ class TruthTable {
   // leftmost character is minterm 0). Length must be 2^num_vars.
   static TruthTable FromBits(const std::string& bits, int num_vars);
 
+  // The table of a function of <= kWordVars variables as one word in the
+  // kVarWord layout (bit m = Get(m), bits from 2^num_vars up clear), and
+  // back; FromWord ignores bits beyond the minterm space.
+  std::uint64_t ToWord() const;
+  static TruthTable FromWord(std::uint64_t word, int num_vars);
+
   int num_vars() const { return num_vars_; }
   std::uint64_t num_minterms_space() const { return 1ull << num_vars_; }
 

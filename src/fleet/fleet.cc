@@ -4,6 +4,7 @@
 
 #include "service/address.h"
 #include "service/client.h"
+#include "util/strings.h"
 
 namespace sm {
 
@@ -27,10 +28,17 @@ std::string DeriveShardAddress(const ServiceAddress& base, int shard) {
 
 }  // namespace
 
+int ParseShardCount(const std::string& value) {
+  return ParseBoundedInt("--shards", value, 1, kMaxFleetShards);
+}
+
 SpeedmaskFleet::SpeedmaskFleet(FleetOptions options)
     : options_(std::move(options)) {
-  if (options_.num_shards < 1) {
-    throw std::invalid_argument("fleet needs at least one shard");
+  if (options_.num_shards < 1 || options_.num_shards > kMaxFleetShards) {
+    throw std::invalid_argument("fleet needs 1 to " +
+                                std::to_string(kMaxFleetShards) +
+                                " shards, got " +
+                                std::to_string(options_.num_shards));
   }
   if (!options_.shard_addresses.empty()) {
     if (static_cast<int>(options_.shard_addresses.size()) !=

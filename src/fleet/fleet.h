@@ -30,6 +30,14 @@
 
 namespace sm {
 
+// Shards per in-process fleet: at least 1, at most this many (each shard is
+// a whole daemon with its own worker pool).
+inline constexpr int kMaxFleetShards = 64;
+
+// Parses a `--shards` value: an integer in [1, kMaxFleetShards]; throws
+// std::invalid_argument otherwise.
+int ParseShardCount(const std::string& value);
+
 struct FleetOptions {
   // Router listen address (Unix path or host:port; ":0" = free TCP port).
   std::string listen_address = "/tmp/speedmask_fleet.sock";
@@ -44,8 +52,8 @@ struct FleetOptions {
 
 class SpeedmaskFleet {
  public:
-  // Throws std::invalid_argument on num_shards < 1 or a shard_addresses
-  // size mismatch.
+  // Throws std::invalid_argument on num_shards outside [1, kMaxFleetShards]
+  // or a shard_addresses size mismatch.
   explicit SpeedmaskFleet(FleetOptions options);
   ~SpeedmaskFleet();
 

@@ -5,16 +5,22 @@
 #include <unordered_set>
 
 #include "util/hash.h"
+#include "util/strings.h"
 
 namespace sm {
+
+int ParseVnodeCount(const std::string& value) {
+  return ParseBoundedInt("--vnodes", value, 1, kMaxVnodesPerShard);
+}
 
 HashRing::HashRing(std::vector<std::string> shard_ids, int vnodes_per_shard)
     : shard_ids_(std::move(shard_ids)) {
   if (shard_ids_.empty()) {
     throw std::invalid_argument("hash ring needs at least one shard");
   }
-  if (vnodes_per_shard < 1) {
-    throw std::invalid_argument("vnodes_per_shard must be >= 1");
+  if (vnodes_per_shard < 1 || vnodes_per_shard > kMaxVnodesPerShard) {
+    throw std::invalid_argument("vnodes_per_shard must be in [1, " +
+                                std::to_string(kMaxVnodesPerShard) + "]");
   }
   std::unordered_set<std::string> seen;
   for (const std::string& id : shard_ids_) {

@@ -27,10 +27,17 @@
 
 namespace sm {
 
+// Virtual nodes per shard: at least 1, at most this many.
+inline constexpr int kMaxVnodesPerShard = 4096;
+
+// Parses a `--vnodes` value: an integer in [1, kMaxVnodesPerShard]; throws
+// std::invalid_argument otherwise.
+int ParseVnodeCount(const std::string& value);
+
 class HashRing {
  public:
   // Throws std::invalid_argument when `shard_ids` is empty, contains a
-  // duplicate, or `vnodes_per_shard` < 1.
+  // duplicate, or `vnodes_per_shard` is outside [1, kMaxVnodesPerShard].
   HashRing(std::vector<std::string> shard_ids, int vnodes_per_shard = 64);
 
   int num_shards() const { return static_cast<int>(shard_ids_.size()); }

@@ -1,19 +1,12 @@
 #include "harness/bench_runner.h"
 
-#include <cstdlib>
-
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace sm {
 
 int ParseThreadCount(const std::string& value) {
-  char* end = nullptr;
-  const long n = std::strtol(value.c_str(), &end, 10);
-  SM_REQUIRE(end != nullptr && *end == '\0' && !value.empty() && n >= 1 &&
-                 n <= 1024,
-             "bad --threads value: " << value
-                                     << " (want an integer in [1, 1024])");
-  return static_cast<int>(n);
+  return ParseBoundedInt("--threads", value, 1, 1024);
 }
 
 BenchOptions ParseBenchArgs(int argc, char** argv) {

@@ -8,6 +8,8 @@
 // 2-input gates 2 units).
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,28 @@ class Cell {
   // Computed at construction, so threads sharing a Library only read them.
   const Sop& OnSetPrimes() const { return on_primes_; }
   const Sop& OffSetPrimes() const { return off_primes_; }
+
+  // 64-way bit-parallel evaluation, the one gate kernel of the mapped-netlist
+  // simulators (zero-delay settling, power, batched timing simulation): pin
+  // p of the cell reads values[fanins[p]], and the result is the OR over the
+  // on-set primes of the AND of their literals. Equal to the truth table on
+  // every pattern, for any pin count; a tie cell has no pins and yields its
+  // constant (one universal prime, or none).
+  std::uint64_t EvalParallel(const std::uint64_t* values,
+                             const std::uint32_t* fanins) const {
+    std::uint64_t out = 0;
+    for (const Cube& c : on_primes_.cubes()) {
+      std::uint64_t term = ~0ull;
+      for (std::uint32_t m = c.pos(); m != 0; m &= m - 1) {
+        term &= values[fanins[std::countr_zero(m)]];
+      }
+      for (std::uint32_t m = c.neg(); m != 0; m &= m - 1) {
+        term &= ~values[fanins[std::countr_zero(m)]];
+      }
+      out |= term;
+    }
+    return out;
+  }
 
   bool IsConstant() const { return num_pins() == 0; }
   bool IsInverter() const;

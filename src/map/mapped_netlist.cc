@@ -1,5 +1,7 @@
 #include "map/mapped_netlist.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -62,12 +64,12 @@ const MappedNetlist::Output& MappedNetlist::output(std::size_t i) const {
 }
 
 int MappedNetlist::InputIndex(GateId id) const {
-  // Inputs are created first and contiguously in practice, but AddGate and
-  // AddInput may interleave; search the input list.
-  for (std::size_t i = 0; i < input_ids_.size(); ++i) {
-    if (input_ids_[i] == id) return static_cast<int>(i);
-  }
-  return -1;
+  // AddGate and AddInput may interleave, but input ids still ascend: each
+  // is the next element id.
+  const auto it = std::lower_bound(input_ids_.begin(), input_ids_.end(), id);
+  return it != input_ids_.end() && *it == id
+             ? static_cast<int>(it - input_ids_.begin())
+             : -1;
 }
 
 GateId MappedNetlist::FindByName(const std::string& name) const {
@@ -96,32 +98,19 @@ std::vector<std::uint64_t> MappedNetlist::EvalParallel(
   SM_REQUIRE(input_words.size() == num_inputs_,
              "EvalParallel needs one word per primary input");
   std::vector<std::uint64_t> value(elements_.size(), 0);
+  EvalParallel(input_words.data(), value.data());
+  return value;
+}
+
+void MappedNetlist::EvalParallel(const std::uint64_t* input_words,
+                                 std::uint64_t* values) const {
   std::size_t next_input = 0;
   for (GateId id = 0; id < elements_.size(); ++id) {
     const Element& e = elements_[id];
-    if (e.cell == nullptr) {
-      value[id] = input_words[next_input++];
-      continue;
-    }
-    if (e.cell->IsConstant()) {
-      value[id] = e.cell->function().Get(0) ? ~0ull : 0ull;
-      continue;
-    }
-    // Evaluate the cell truth table bit-parallel over its pins.
-    const TruthTable& f = e.cell->function();
-    std::uint64_t out = 0;
-    for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
-      if (!f.Get(m)) continue;
-      std::uint64_t term = ~0ull;
-      for (int p = 0; p < f.num_vars() && term != 0; ++p) {
-        const std::uint64_t w = value[e.fanins[static_cast<std::size_t>(p)]];
-        term &= ((m >> p) & 1u) ? w : ~w;
-      }
-      out |= term;
-    }
-    value[id] = out;
+    values[id] = e.cell == nullptr
+                     ? input_words[next_input++]
+                     : e.cell->EvalParallel(values, e.fanins.data());
   }
-  return value;
 }
 
 void MappedNetlist::CheckInvariants() const {

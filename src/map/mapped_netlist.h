@@ -51,7 +51,8 @@ class MappedNetlist {
   const std::vector<Output>& outputs() const { return outputs_; }
   const Output& output(std::size_t i) const;
   const std::vector<GateId>& inputs() const { return input_ids_; }
-  int InputIndex(GateId id) const;  // -1 when not an input
+  // Position of `id` in inputs(), or -1; a binary search (O(log n)).
+  int InputIndex(GateId id) const;
 
   GateId FindByName(const std::string& name) const;  // kInvalidGate if absent
 
@@ -66,9 +67,14 @@ class MappedNetlist {
   std::size_t NumLogicGates() const;
 
   // 64-way bit-parallel evaluation: one word per primary input, returns one
-  // word per element (indexable by GateId).
+  // word per element (indexable by GateId). Each gate is evaluated by
+  // Cell::EvalParallel over its on-set primes.
   std::vector<std::uint64_t> EvalParallel(
       const std::vector<std::uint64_t>& input_words) const;
+  // The same into caller storage: `input_words` holds NumInputs() words in
+  // inputs() order, `values` receives NumElements() words. Allocates nothing.
+  void EvalParallel(const std::uint64_t* input_words,
+                    std::uint64_t* values) const;
 
   void CheckInvariants() const;
 

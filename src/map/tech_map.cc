@@ -18,14 +18,6 @@ using Mode = TechMapOptions::Mode;
 
 constexpr int kMaxLeaves = kWordVars;  // a cut function fits one word
 
-std::uint64_t ToWord(const TruthTable& t) {
-  std::uint64_t w = 0;
-  for (std::uint64_t m = 0; m < t.num_minterms_space(); ++m) {
-    if (t.Get(m)) w |= 1ull << m;
-  }
-  return w;
-}
-
 struct Match {
   const Cell* cell;
   std::array<int, kMaxLeaves> perm;  // perm[pin] = leaf index of the pin
@@ -44,7 +36,7 @@ class MatchTable {
       do {
         auto& bucket =
             table_[static_cast<std::size_t>(k)]
-                  [ToWord(cell->function().Remap(perm, k))];
+                  [cell->function().Remap(perm, k).ToWord()];
         // One permutation per (cell, key) suffices: pin delays are
         // per-pin, so keep the first permutation found for each cell.
         const bool seen = std::any_of(
@@ -112,23 +104,61 @@ bool MergeCuts(const Cut& a, const Cut& b, int k, Cut& out) {
   return true;
 }
 
+// Inserts `c` into `cuts`, which stays sorted, duplicate-free and at most
+// `cap` long: after all candidates it holds the first `cap` distinct cuts in
+// Cut order, the set and order that sorting every candidate, dropping
+// duplicates and truncating would give.
+void InsertBounded(std::vector<Cut>& cuts, const Cut& c, std::size_t cap) {
+  if (cuts.size() == cap && (cap == 0 || !(c < cuts.back()))) return;
+  const auto pos = std::lower_bound(cuts.begin(), cuts.end(), c);
+  if (pos != cuts.end() && *pos == c) return;
+  const std::ptrdiff_t at = pos - cuts.begin();
+  if (cuts.size() == cap) cuts.pop_back();
+  cuts.insert(cuts.begin() + at, c);
+}
+
+// The subject graph in flat per-node arrays. The mapper's inner loops read
+// these instead of the bounds-checked Network accessors.
+enum class Op : std::uint8_t {
+  kLeaf,  // primary input or constant node: only its trivial cut
+  kBuf,
+  kInv,
+  kAnd,
+};
+
+struct FlatSubject {
+  std::vector<Op> op;
+  std::vector<NodeId> fanin0;
+  std::vector<NodeId> fanin1;  // kAnd only
+
+  explicit FlatSubject(const Network& net)
+      : op(net.NumNodes(), Op::kLeaf),
+        fanin0(net.NumNodes(), kInvalidNode),
+        fanin1(net.NumNodes(), kInvalidNode) {
+    for (NodeId id = 0; id < net.NumNodes(); ++id) {
+      if (net.kind(id) != NodeKind::kLogic) continue;
+      const auto& fin = net.fanins(id);
+      if (fin.empty()) continue;
+      fanin0[id] = fin[0];
+      if (fin.size() == 2) {
+        fanin1[id] = fin[1];
+        op[id] = Op::kAnd;
+      } else {
+        // A 1-input subject node is an inverter or a buffer
+        // (IsAndInvNetwork).
+        op[id] = net.function(id).cubes()[0].neg() != 0 ? Op::kInv : Op::kBuf;
+      }
+    }
+  }
+};
+
 // Evaluates a node's function over one of its cuts on 64-bit words. The DFS
 // from the root stops at every leaf, so a leaf that also lies inside another
 // leaf's cone is a free variable. Scratch state is epoch-stamped and reused.
 class CutEvaluator {
  public:
-  explicit CutEvaluator(const Network& net)
-      : net_(net),
-        invert_(net.NumNodes()),
-        value_(net.NumNodes()),
-        stamp_(net.NumNodes(), 0) {
-    for (NodeId id = 0; id < net.NumNodes(); ++id) {
-      if (net.kind(id) != NodeKind::kLogic) continue;
-      const Sop& fn = net.function(id);
-      // A 1-input subject node is an inverter or a buffer (IsAndInvNetwork).
-      invert_[id] = fn.num_vars() == 1 && fn.cubes()[0].neg() != 0;
-    }
-  }
+  explicit CutEvaluator(const FlatSubject& g)
+      : g_(g), value_(g.op.size()), stamp_(g.op.size(), 0) {}
 
   std::uint64_t Eval(NodeId root, const Cut& cut) {
     ++epoch_;
@@ -144,22 +174,27 @@ class CutEvaluator {
         stack_.pop_back();
         continue;
       }
-      SM_CHECK(net_.kind(n) == NodeKind::kLogic,
+      const Op op = g_.op[n];
+      SM_CHECK(op != Op::kLeaf,
                "cut does not cover the cone (reached a free input)");
-      const auto& fin = net_.fanins(n);
-      bool ready = true;
-      for (NodeId f : fin) {
-        if (stamp_[f] != epoch_) {
-          stack_.push_back(f);
-          ready = false;
-        }
-      }
-      if (!ready) continue;
+      const NodeId f0 = g_.fanin0[n];
+      const NodeId f1 = op == Op::kAnd ? g_.fanin1[n] : f0;
+      const bool ready0 = stamp_[f0] == epoch_;
+      const bool ready1 = stamp_[f1] == epoch_;
+      if (!ready0) stack_.push_back(f0);
+      if (!ready1 && f1 != f0) stack_.push_back(f1);
+      if (!ready0 || !ready1) continue;
       stack_.pop_back();
-      if (fin.size() == 1) {
-        value_[n] = invert_[n] ? ~value_[fin[0]] : value_[fin[0]];
-      } else {
-        value_[n] = value_[fin[0]] & value_[fin[1]];
+      switch (op) {
+        case Op::kAnd:
+          value_[n] = value_[f0] & value_[f1];
+          break;
+        case Op::kInv:
+          value_[n] = ~value_[f0];
+          break;
+        default:
+          value_[n] = value_[f0];
+          break;
       }
       stamp_[n] = epoch_;
     }
@@ -167,8 +202,7 @@ class CutEvaluator {
   }
 
  private:
-  const Network& net_;
-  std::vector<bool> invert_;
+  const FlatSubject& g_;
   std::vector<std::uint64_t> value_;
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
@@ -196,12 +230,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
 
   const std::size_t n = subject.NumNodes();
   const auto& fanouts = subject.Fanouts();
-
-  // Leaf-only ids: primary inputs and constant nodes.
-  auto leaf_only = [&](NodeId id) {
-    return subject.kind(id) == NodeKind::kInput ||
-           subject.fanins(id).empty();
-  };
+  const FlatSubject g(subject);
 
   // --- cut enumeration + matching DP, one topological pass -------------
   // Node id owns arena[first[id], first[id + 1]): its trivial cut, then the
@@ -212,9 +241,9 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
   std::vector<Cut> arena;
   arena.reserve(n * (max_cuts + 2));
   std::vector<std::size_t> first(n + 1, 0);
-  std::vector<Cut> mine;  // scratch: the node's candidate cuts
-  mine.reserve((max_cuts + 2) * (max_cuts + 2));
-  CutEvaluator evaluator(subject);
+  std::vector<Cut> mine;  // scratch: the node's kept cuts
+  mine.reserve(max_cuts + 1);
+  CutEvaluator evaluator(g);
   std::vector<Choice> best(n);
   for (NodeId id = 0; id < n; ++id) {
     first[id] = arena.size();
@@ -222,38 +251,39 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
     trivial.leaf[0] = id;
     trivial.size = 1;
     arena.push_back(trivial);
-    if (leaf_only(id)) continue;
+    if (g.op[id] == Op::kLeaf) continue;
 
-    const auto& fin = subject.fanins(id);
-    const Cut* const a = arena.data() + first[fin[0]];
-    const Cut* const a_end = arena.data() + first[fin[0] + 1];
+    const NodeId f0 = g.fanin0[id];
+    const Cut* const a = arena.data() + first[f0];
+    const Cut* const a_end = arena.data() + first[f0 + 1];
+    // Keep the smallest distinct cuts, capped, in Cut order.
     mine.clear();
-    if (fin.size() == 1) {
-      mine.insert(mine.end(), a, a_end);
+    if (g.op[id] != Op::kAnd) {
+      for (const Cut* ca = a; ca != a_end; ++ca) {
+        InsertBounded(mine, *ca, max_cuts);
+      }
     } else {
-      const Cut* const b = arena.data() + first[fin[1]];
-      const Cut* const b_end = arena.data() + first[fin[1] + 1];
+      const NodeId f1 = g.fanin1[id];
+      const Cut* const b = arena.data() + first[f1];
+      const Cut* const b_end = arena.data() + first[f1 + 1];
       Cut m;
       for (const Cut* ca = a; ca != a_end; ++ca) {
         for (const Cut* cb = b; cb != b_end; ++cb) {
-          if (MergeCuts(*ca, *cb, k, m)) mine.push_back(m);
+          if (MergeCuts(*ca, *cb, k, m)) InsertBounded(mine, m, max_cuts);
         }
       }
     }
-    // Dedupe and prune: smaller cuts first, cap the list.
-    std::sort(mine.begin(), mine.end());
-    mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-    if (mine.size() > max_cuts) mine.resize(max_cuts);
     // The direct-fanin cut is the feasibility anchor (it always matches an
     // AND2 or inverter); re-append it if pruning dropped it.
     {
       Cut direct;
-      direct.leaf[0] = fin[0];
+      direct.leaf[0] = f0;
       direct.size = 1;
-      if (fin.size() == 2 && fin[1] != fin[0]) {
-        direct.leaf[1] = fin[1];
+      const NodeId f1 = g.fanin1[id];
+      if (g.op[id] == Op::kAnd && f1 != f0) {
+        direct.leaf[0] = std::min(f0, f1);
+        direct.leaf[1] = std::max(f0, f1);
         direct.size = 2;
-        if (fin[1] < fin[0]) std::swap(direct.leaf[0], direct.leaf[1]);
       }
       if (std::find(mine.begin(), mine.end(), direct) == mine.end()) {
         mine.push_back(direct);
@@ -284,7 +314,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
       for (const Match& m : *bucket) {
         double flow = m.cell->area();
         for (NodeId leaf : cut) {
-          if (leaf_only(leaf)) continue;
+          if (g.op[leaf] == Op::kLeaf) continue;
           const double refs =
               std::max<std::size_t>(1, fanouts[leaf].size());
           flow += best[leaf].cost / static_cast<double>(refs);
@@ -292,7 +322,8 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
         double arrival = 0;
         for (int pin = 0; pin < m.cell->num_pins(); ++pin) {
           const NodeId leaf = cut.leaf[m.perm[pin]];
-          const double leaf_arr = leaf_only(leaf) ? 0.0 : best[leaf].arrival;
+          const double leaf_arr =
+              g.op[leaf] == Op::kLeaf ? 0.0 : best[leaf].arrival;
           arrival = std::max(arrival, leaf_arr + m.cell->pin_delay(pin));
         }
         const bool better =
@@ -309,7 +340,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
     SM_CHECK(my.cell != nullptr,
              "no library match for node " << subject.node_name(id)
                                           << " — library incomplete");
-    // Leaf-only nodes keep arrival 0 / cost 0 implicitly via leaf_only().
+    // Leaf nodes (kLeaf) keep arrival 0 / cost 0 implicitly.
   }
 
   // --- extraction -------------------------------------------------------
@@ -340,7 +371,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
       work.pop_back();
       continue;
     }
-    if (subject.fanins(id).empty() && subject.kind(id) == NodeKind::kLogic) {
+    if (g.op[id] == Op::kLeaf) {  // a constant node; inputs are mapped
       result.node_map[id] = get_tie(subject.function(id).IsConst1());
       work.pop_back();
       continue;

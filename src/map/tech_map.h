@@ -8,15 +8,20 @@
 // (delay mode, area flow as tie-break) — the standard mapper structure
 // (ABC-style) in a compact form.
 //
-// The inner loop allocates nothing per cut. Cuts are sorted leaf ids stored
+// The inner loop allocates nothing per cut. The subject graph is first
+// copied into flat per-node op/fanin arrays, which the loops read instead of
+// the bounds-checked Network accessors. Cuts are sorted leaf ids stored
 // inline (at most 6) in one arena per call, reserved once so it never
-// reallocates; node id owns a contiguous range of it. A cut's function is a
-// 64-bit truth table computed by a DFS from the root that stops at every
-// leaf, on epoch-stamped scratch arrays. It is deliberately not composed
-// from the fanin cuts' tables: a leaf lying inside another leaf's cone is a
-// free variable under the DFS but not under composition, and the two give
-// different tables (and netlists) on such cuts. Library matches are keyed by
-// (leaf count, truth word). See docs/ALGORITHMS.md §3.
+// reallocates; node id owns a contiguous range of it. A node keeps the first
+// max_cuts_per_node distinct merged cuts in (size, leaf ids) order, chosen
+// by bounded sorted insertion as candidates are merged, never by sorting
+// them all. A cut's function is a 64-bit truth table computed by a DFS from
+// the root that stops at every leaf, on epoch-stamped scratch arrays. It is
+// deliberately not composed from the fanin cuts' tables: a leaf lying
+// inside another leaf's cone is a free variable under the DFS but not under
+// composition, and the two give different tables (and netlists) on such
+// cuts. Library matches are keyed by (leaf count, truth word). See
+// docs/ALGORITHMS.md §3.
 //
 // The flow maps the original circuit in area mode (Table 2's baseline) and
 // the error-masking circuit in delay mode (to bank slack).

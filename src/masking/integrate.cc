@@ -92,4 +92,30 @@ ProtectedCircuit IntegrateMasking(const MappedNetlist& original,
   return result;
 }
 
+std::vector<GateId> VerbatimCopyMap(const MappedNetlist& original,
+                                    const MappedNetlist& protected_netlist) {
+  const MappedNetlist& prot = protected_netlist;
+  SM_CHECK(prot.NumInputs() == original.NumInputs(),
+           "protected netlist has " << prot.NumInputs()
+                                    << " inputs, the original "
+                                    << original.NumInputs());
+  std::vector<GateId> copy_of(original.NumElements(), kInvalidGate);
+  for (GateId id = 0; id < original.NumElements(); ++id) {
+    const MappedNetlist::Element& e = original.element(id);
+    const GateId copy = prot.FindByName(e.name);
+    bool verbatim = copy != kInvalidGate && prot.element(copy).cell == e.cell &&
+                    prot.fanins(copy).size() == e.fanins.size();
+    for (std::size_t p = 0; verbatim && p < e.fanins.size(); ++p) {
+      verbatim = prot.fanins(copy)[p] == copy_of[e.fanins[p]];
+    }
+    if (verbatim && e.cell == nullptr) {
+      verbatim = prot.InputIndex(copy) == original.InputIndex(id);
+    }
+    SM_CHECK(verbatim, "protected netlist lacks a verbatim copy of original "
+                       "element " << e.name);
+    copy_of[id] = copy;
+  }
+  return copy_of;
+}
+
 }  // namespace sm

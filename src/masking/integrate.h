@@ -61,4 +61,16 @@ ProtectedCircuit IntegrateMasking(const MappedNetlist& original,
                                   const Library& lib,
                                   const IntegrateOptions& options = {});
 
+// Where each element of C sits in the protected netlist: result[id] is the
+// element of `protected_netlist` that copies `original` element id.
+// IntegrateMasking copies C verbatim — inputs first and in C's input order,
+// then every gate with its name, cell and pin order — so under the same
+// input words each copy carries exactly its original's values and delays.
+// Consumers that judge C through its copies (one STA pass per MC trial, one
+// power simulation for Table 2) rely on that; a protected netlist that
+// breaks it (a missing or renamed copy, another cell, rewired pins, an input
+// at another position) is rejected with an InternalError.
+std::vector<GateId> VerbatimCopyMap(const MappedNetlist& original,
+                                    const MappedNetlist& protected_netlist);
+
 }  // namespace sm

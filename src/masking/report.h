@@ -27,9 +27,12 @@ struct OverheadReport {
   bool safety = false;
 };
 
-// Simulates both netlists with the given seed (same pattern stream for a
-// fair power comparison) and assembles the Table 2 row. `sim_words` batches
-// of 64 random patterns drive the estimate.
+// Assembles the Table 2 row. Power comes from one simulation of the
+// protected netlist under `sim_words` batches of 64 random patterns from
+// Rng::ForStream(seed, 0): C's activity is read off its verbatim copy
+// (VerbatimCopyMap, which throws when the protected netlist lacks one), so
+// the result equals EstimatePower(original, seed, 0) against
+// EstimatePower(protected, seed, 0) without simulating C twice.
 OverheadReport ComputeOverheads(const MappedNetlist& original,
                                 const ProtectedCircuit& protected_circuit,
                                 std::uint64_t seed, int sim_words = 64);

@@ -126,11 +126,15 @@ MaskingCircuit SynthesizeMaskingNetwork(
 
   // Care context per node: union of the SPCFs of the protected outputs whose
   // cones contain it ("all outputs simultaneously", Sec. 4).
+  // Each target's cone is collected once and reused for its indicator tree.
   std::vector<BddManager::Ref> ctx(ti.NumNodes(), mgr.False());
   std::vector<bool> in_cone(ti.NumNodes(), false);
+  std::vector<std::vector<NodeId>> cones;
+  cones.reserve(targets.size());
   for (std::size_t i : targets) {
     const BddManager::Ref sigma = spcf.sigma[i];
-    for (NodeId n : TransitiveFanin(ti, {ti.output(i).driver})) {
+    cones.push_back(TransitiveFanin(ti, {ti.output(i).driver}));
+    for (NodeId n : cones.back()) {
       ctx[n] = mgr.Or(ctx[n], sigma);
       in_cone[n] = true;
     }
@@ -141,6 +145,7 @@ MaskingCircuit SynthesizeMaskingNetwork(
 
   std::vector<NodeId> pred(ti.NumNodes(), kInvalidNode);
   std::vector<NodeId> indicator(ti.NumNodes(), kInvalidNode);
+  IsopMemo isop;  // node functions repeat; their exact covers are memoized
 
   for (NodeId id = 0; id < ti.NumNodes(); ++id) {
     if (ti.kind(id) == NodeKind::kInput) {
@@ -174,8 +179,8 @@ MaskingCircuit SynthesizeMaskingNetwork(
       continue;
     }
 
-    Sop on_cover = Isop(tt, TruthTable::Const0(k));
-    Sop off_cover = Isop(~tt, TruthTable::Const0(k));
+    Sop on_cover = isop.Cover(tt);
+    Sop off_cover = isop.Cover(~tt);
     if (options.sort_cubes) {
       on_cover.SortByLiteralCount();
       off_cover.SortByLiteralCount();
@@ -198,7 +203,7 @@ MaskingCircuit SynthesizeMaskingNetwork(
     // as a cover of the complement.
     Sop pred_fn = on_red;
     if (options.choose_cheaper_polarity) {
-      const Sop neg_off = Isop(~off_red.ToTruthTable(), TruthTable::Const0(k));
+      const Sop neg_off = isop.Cover(~off_red.ToTruthTable());
       if (SopLiterals(neg_off) < SopLiterals(pred_fn)) pred_fn = neg_off;
     }
     pred[id] = out.AddNode(pred_fanins, pred_fn, "p_" + ti.node_name(id));
@@ -221,13 +226,14 @@ MaskingCircuit SynthesizeMaskingNetwork(
 
   // Per protected output: the prediction image of the driver and the
   // conjunction of the cone's indicators.
-  for (std::size_t i : targets) {
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const std::size_t i = targets[t];
     const NodeId driver = ti.output(i).driver;
     const std::string& name = ti.output(i).name;
     SM_CHECK(pred[driver] != kInvalidNode, "critical output has no prediction");
 
     std::vector<NodeId> es;
-    for (NodeId n : TransitiveFanin(ti, {driver})) {
+    for (NodeId n : cones[t]) {
       if (indicator[n] != kInvalidNode) es.push_back(indicator[n]);
     }
     const NodeId ey = AndTree(out, std::move(es), options.indicator_tree_arity,

@@ -1,7 +1,6 @@
 #include "network/decompose.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "boolean/isop.h"
@@ -136,11 +135,6 @@ class Builder {
   std::vector<NodeId> roots_;     // cube roots of one cover
 };
 
-Sop ComplementCover(const Sop& f) {
-  const TruthTable tt = f.ToTruthTable();
-  return Isop(~tt, TruthTable::Const0(tt.num_vars()));
-}
-
 }  // namespace
 
 bool IsAndInvNetwork(const Network& net) {
@@ -167,7 +161,7 @@ DecomposeResult DecomposeToAndInv(const Network& net) {
   Builder b;
   // ISOP of ~f depends only on f's truth table; narrow nodes repeat a few
   // hundred distinct functions, so their complement covers are memoized.
-  std::map<std::pair<int, std::uint64_t>, Sop> complements;
+  IsopMemo isop;
   std::vector<NodeId> leaf;
 
   for (NodeId id = 0; id < net.NumNodes(); ++id) {
@@ -197,18 +191,14 @@ DecomposeResult DecomposeToAndInv(const Network& net) {
     // hashing dedupes shared pieces; the losing branch is pruned below.
     const NodeId pos_root = b.BuildSop(f, leaf);
     NodeId chosen = pos_root;
-    const Sop* comp = nullptr;
-    Sop wide_comp;
+    Sop comp;  // empty: no complement cover over kMaxTruthVars variables
     if (narrow) {
-      const auto [it, fresh] = complements.try_emplace({nv, word});
-      if (fresh) it->second = ComplementCover(f);
-      comp = &it->second;
+      comp = isop.Cover(nv, ~word);
     } else if (nv <= kMaxTruthVars) {
-      wide_comp = ComplementCover(f);
-      comp = &wide_comp;
+      comp = isop.Cover(~f.ToTruthTable());
     }
-    if (comp != nullptr && !comp->cubes().empty()) {
-      const NodeId neg_root = b.Not(b.BuildSop(*comp, leaf));
+    if (!comp.cubes().empty()) {
+      const NodeId neg_root = b.Not(b.BuildSop(comp, leaf));
       if (b.arrival(neg_root) < b.arrival(pos_root)) chosen = neg_root;
     }
     node_map[id] = chosen;

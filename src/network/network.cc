@@ -1,5 +1,7 @@
 #include "network/network.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -87,10 +89,11 @@ const Network::Output& Network::output(std::size_t i) const {
 }
 
 int Network::InputIndex(NodeId id) const {
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i] == id) return static_cast<int>(i);
-  }
-  return -1;
+  // Input ids ascend: AddInput appends the next node id.
+  const auto it = std::lower_bound(inputs_.begin(), inputs_.end(), id);
+  return it != inputs_.end() && *it == id
+             ? static_cast<int>(it - inputs_.begin())
+             : -1;
 }
 
 const std::vector<std::vector<NodeId>>& Network::Fanouts() const {

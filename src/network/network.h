@@ -69,7 +69,7 @@ class Network {
   const std::vector<Output>& outputs() const { return outputs_; }
   const Output& output(std::size_t i) const;
 
-  // Position of `id` in inputs(), or -1.
+  // Position of `id` in inputs(), or -1; a binary search (O(log n)).
   int InputIndex(NodeId id) const;
 
   // Fanout adjacency, rebuilt on demand after mutations.

@@ -1,7 +1,6 @@
 #include "network/sweep.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "boolean/isop.h"
@@ -35,6 +34,24 @@ Resolved Resolve(const std::vector<Info>& info, NodeId id) {
   return {id, neg};
 }
 
+// Structural-hash key: a node's function over its resolved fanins.
+struct NodeKey {
+  TruthTable tt;
+  std::vector<NodeId> fanins;
+  bool operator==(const NodeKey& o) const = default;
+};
+
+struct NodeKeyHash {
+  std::size_t operator()(const NodeKey& key) const {
+    std::uint64_t h = key.tt.Hash();
+    for (NodeId f : key.fanins) {
+      h = (h ^ f) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 // Complements variable `v` inside the table: f(.., x_v, ..) -> f(.., ~x_v, ..).
 TruthTable FlipVar(const TruthTable& tt, int v) {
   const TruthTable x = TruthTable::Var(v, tt.num_vars());
@@ -47,9 +64,9 @@ SweepResult Sweep(const Network& net, const SweepOptions& options) {
   const std::size_t n = net.NumNodes();
   std::vector<Info> info(n);
 
-  // Structural-hash table: (function bits, resolved fanins) -> representative
+  // Structural-hash table: (function, resolved fanins) -> representative
   // old node. The complement form is also probed so f and ~f share logic.
-  std::map<std::pair<std::string, std::vector<NodeId>>, NodeId> structural;
+  std::unordered_map<NodeKey, NodeId, NodeKeyHash> structural;
 
   // Pass 1: fold constants, absorb buffers/inverters, drop vacuous and
   // duplicate fanins, structurally hash.
@@ -120,19 +137,22 @@ SweepResult Sweep(const Network& net, const SweepOptions& options) {
       continue;
     }
     if (options.hash_identical_nodes) {
-      const auto pos = structural.find({tt.ToBits(), eff});
+      NodeKey key{tt, eff};
+      const auto pos = structural.find(key);
       if (pos != structural.end()) {
         my.alias = pos->second;
         my.alias_neg = false;
         continue;
       }
-      const auto negp = structural.find({(~tt).ToBits(), eff});
+      key.tt = ~tt;
+      const auto negp = structural.find(key);
       if (negp != structural.end()) {
         my.alias = negp->second;
         my.alias_neg = true;
         continue;
       }
-      structural.emplace(std::make_pair(tt.ToBits(), eff), id);
+      key.tt = tt;
+      structural.emplace(std::move(key), id);
     }
     my.eff_fanins = std::move(eff);
     my.tt = std::move(tt);
@@ -164,6 +184,7 @@ SweepResult Sweep(const Network& net, const SweepOptions& options) {
   SweepResult result{Network(net.name()), std::vector<NodeId>(n, kInvalidNode),
                      0, 0};
   Network& out = result.network;
+  IsopMemo isop;
 
   for (NodeId id = 0; id < n; ++id) {
     if (net.kind(id) == NodeKind::kInput) {
@@ -180,8 +201,7 @@ SweepResult Sweep(const Network& net, const SweepOptions& options) {
       new_fanins.push_back(mapped);
     }
     result.node_map[id] =
-        out.AddNode(new_fanins,
-                    Isop(my.tt, TruthTable::Const0(my.tt.num_vars())),
+        out.AddNode(std::move(new_fanins), isop.Cover(my.tt),
                     net.node_name(id));
   }
 

@@ -86,37 +86,6 @@ BatchEventSim::BatchEventSim(const MappedNetlist& net)
   tr_count_.resize(n_ * static_cast<std::size_t>(kBatchLanes));
 }
 
-// Word-parallel zero-delay settling into a preallocated buffer — the same
-// minterm expansion as MappedNetlist::EvalParallel, reading the
-// constructor-cached gate info.
-void BatchEventSim::EvalInto(const std::uint64_t* inputs,
-                             std::vector<std::uint64_t>& out) {
-  std::size_t next_input = 0;
-  for (GateId id = 0; id < n_; ++id) {
-    const GateInfo& gi = info_[id];
-    if (gi.fn == nullptr) {
-      out[id] = inputs[next_input++];
-      continue;
-    }
-    if (gi.num_pins == 0) {
-      out[id] = gi.fn->Get(0) ? ~0ull : 0ull;
-      continue;
-    }
-    const std::uint64_t minterms = 1ull << gi.num_pins;
-    std::uint64_t word = 0;
-    for (std::uint64_t m = 0; m < minterms; ++m) {
-      if (((gi.tt[m >> 6] >> (m & 63)) & 1u) == 0) continue;
-      std::uint64_t term = ~0ull;
-      for (int p = 0; p < gi.num_pins && term != 0; ++p) {
-        const std::uint64_t w = out[gi.fanins[p]];
-        term &= ((m >> p) & 1u) ? w : ~w;
-      }
-      word |= term;
-    }
-    out[id] = word;
-  }
-}
-
 const BatchEventSimResult& BatchEventSim::Run(
     const std::vector<std::uint64_t>& previous,
     const std::vector<std::uint64_t>& next,
@@ -211,8 +180,8 @@ const BatchEventSimResult& BatchEventSim::Run(
   result_.lane_mask = lane_mask;
   result_.lane_events.fill(0);
 
-  EvalInto(previous.data(), steady_prev_);
-  EvalInto(next.data(), steady_next_);
+  net_.EvalParallel(previous.data(), steady_prev_.data());
+  net_.EvalParallel(next.data(), steady_next_.data());
   std::copy(steady_prev_.begin(), steady_prev_.end(),
             result_.settled.begin());
   std::copy(steady_prev_.begin(), steady_prev_.end(),

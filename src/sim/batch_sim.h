@@ -157,7 +157,6 @@ class BatchEventSim {
     std::uint64_t seen;
   };
 
-  void EvalInto(const std::uint64_t* inputs, std::vector<std::uint64_t>& out);
   void ProcessGateLane(GateId g, const GateInfo& gi, int lane, double clock);
 
   const MappedNetlist& net_;

@@ -42,11 +42,14 @@ ActivityEstimate EstimateActivity(const MappedNetlist& net, Rng& rng,
   std::vector<std::uint64_t> ones(net.NumElements(), 0);
   std::vector<std::uint64_t> toggles(net.NumElements(), 0);
   std::vector<std::uint64_t> last_bit(net.NumElements(), 0);
+  std::vector<std::uint64_t> inputs(net.NumInputs());
+  std::vector<std::uint64_t> values(net.NumElements());
   bool have_last = false;
 
   for (int w = 0; w < num_words; ++w) {
-    const auto inputs = RandomInputWords(net.NumInputs(), rng);
-    const auto values = net.EvalParallel(inputs);
+    // Draws in RandomInputWords order: one word per input.
+    for (auto& word : inputs) word = rng.Next();
+    net.EvalParallel(inputs.data(), values.data());
     for (GateId id = 0; id < net.NumElements(); ++id) {
       const std::uint64_t v = values[id];
       ones[id] += static_cast<std::uint64_t>(std::popcount(v));

@@ -21,7 +21,13 @@ std::vector<std::uint64_t> EvalNetworkParallel(
 
 // Per-element one-probability and toggle activity, estimated from
 // `num_words` batches of 64 random patterns applied as a stream (toggle =
-// value change between consecutive patterns).
+// value change between consecutive patterns). Batch w draws one word per
+// input, in inputs() order, as RandomInputWords does, and evaluates them
+// with MappedNetlist::EvalParallel into buffers reused across batches.
+// Elements are independent: an element computing the same function of the
+// same input stream (a verbatim copy in a larger netlist driven by the same
+// inputs in the same order) gets the same counts, which is what lets
+// ComputeOverheads simulate the protected netlist once.
 struct ActivityEstimate {
   std::vector<double> probability;  // P(signal = 1)
   std::vector<double> activity;     // toggles per applied pattern

@@ -1,6 +1,9 @@
 // Dynamic-power model: switching activity × per-cell switching energy.
 // Absolute units are arbitrary; Table 2 reports the *relative* overhead of
 // the error-masking circuit, which is the ratio of these estimates.
+// ComputeOverheads (masking/report.h) gets both sides of that ratio from one
+// simulation of the protected netlist, reading C's activity off its
+// verbatim copy; the result is the double two EstimatePower calls give.
 #pragma once
 
 #include "map/mapped_netlist.h"
@@ -19,9 +22,9 @@ PowerReport EstimatePower(const MappedNetlist& net, Rng& rng,
                           int num_words = 64);
 
 // Seeded variant: the pattern stream is Rng::ForStream(seed, stream), so
-// two netlists estimated with the same (seed, stream) see identical stimuli
-// (the fair-comparison contract of the Table-2 power overhead) without the
-// caller wiring Rng construction by hand.
+// two netlists with the same inputs estimated with the same (seed, stream)
+// see identical stimuli (the fair-comparison contract of the Table-2 power
+// overhead) without the caller wiring Rng construction by hand.
 PowerReport EstimatePower(const MappedNetlist& net, std::uint64_t seed,
                           std::uint64_t stream, int num_words = 64);
 

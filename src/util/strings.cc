@@ -3,6 +3,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+
+#include "util/check.h"
 
 namespace sm {
 
@@ -49,6 +52,17 @@ std::string IndexedName(std::string_view prefix, long long index) {
   std::string out(prefix);
   out += std::to_string(index);
   return out;
+}
+
+int ParseBoundedInt(std::string_view flag, const std::string& value, int lo,
+                    int hi) {
+  char* end = nullptr;
+  const long n = std::strtol(value.c_str(), &end, 10);
+  SM_REQUIRE(end != nullptr && *end == '\0' && !value.empty() && n >= lo &&
+                 n <= hi,
+             "bad " << flag << " value: " << value << " (want an integer in ["
+                    << lo << ", " << hi << "])");
+  return static_cast<int>(n);
 }
 
 std::string FormatCount(double value) {

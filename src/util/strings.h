@@ -23,6 +23,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 // equivalent `"pi" + std::to_string(3)` once inlined.
 std::string IndexedName(std::string_view prefix, long long index);
 
+// Parses a command-line count: a decimal integer in [lo, hi], else throws
+// std::invalid_argument "bad <flag> value: <value> (want an integer in
+// [lo, hi])". Each bounded CLI count goes through it with its own bound.
+int ParseBoundedInt(std::string_view flag, const std::string& value, int lo,
+                    int hi);
+
 // "1.23e+45" style compact scientific formatting for huge pattern counts.
 std::string FormatCount(double value);
 

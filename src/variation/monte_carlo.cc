@@ -174,19 +174,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
   // trial are exactly its copy's. One STA of the protected netlist therefore
   // judges both circuits: C at its output drivers' copies, C ∪ C̃ at its own
   // output drivers.
-  std::vector<GateId> orig_in_prot(original.NumElements(), kInvalidGate);
-  for (GateId id = 0; id < original.NumElements(); ++id) {
-    const MappedNetlist::Element& e = original.element(id);
-    const GateId copy = prot.FindByName(e.name);
-    bool verbatim = copy != kInvalidGate && prot.element(copy).cell == e.cell &&
-                    prot.fanins(copy).size() == e.fanins.size();
-    for (std::size_t p = 0; verbatim && p < e.fanins.size(); ++p) {
-      verbatim = prot.fanins(copy)[p] == orig_in_prot[e.fanins[p]];
-    }
-    SM_CHECK(verbatim, "protected netlist lacks a verbatim copy of original "
-                       "element " << e.name);
-    orig_in_prot[id] = copy;
-  }
+  const std::vector<GateId> orig_in_prot = VerbatimCopyMap(original, prot);
   std::vector<GateId> original_drivers;
   for (const auto& o : original.outputs()) {
     original_drivers.push_back(orig_in_prot[o.driver]);

@@ -317,6 +317,63 @@ TEST(Isop, XorNeedsAllMinterms) {
   EXPECT_EQ(cover.ToTruthTable(), f);
 }
 
+void ExpectSameCover(const Sop& got, const Sop& want, const char* what) {
+  EXPECT_EQ(got.num_vars(), want.num_vars()) << what;
+  EXPECT_EQ(got.cubes(), want.cubes()) << what;
+}
+
+// The memo must hand back exactly Isop(f, 0), on a miss and on a hit. All
+// functions of 0-4 variables share one memo, so a key that dropped the
+// variable count would confuse, e.g., x0 over one variable with x0·x1' over
+// two (both word 0b10).
+TEST(IsopMemo, MatchesIsopOnEveryFunctionUpToFourVariables) {
+  IsopMemo memo;
+  for (int k = 0; k <= 4; ++k) {
+    const std::uint64_t count = 1ull << (1u << k);
+    for (std::uint64_t word = 0; word < count; ++word) {
+      const TruthTable f = TruthTable::FromWord(word, k);
+      EXPECT_EQ(f.ToWord(), word);
+      const Sop want = Isop(f, TruthTable::Const0(k));
+      ExpectSameCover(memo.Cover(f), want, "miss");
+      ExpectSameCover(memo.Cover(k, word), want, "hit");
+    }
+  }
+}
+
+TEST(IsopMemo, MatchesIsopOnRandomFiveAndSixVariableFunctions) {
+  IsopMemo memo;
+  Rng rng(4242);
+  for (int k = 5; k <= 6; ++k) {
+    for (int iter = 0; iter < 400; ++iter) {
+      std::uint64_t word = rng.Next() & MintermMask(k);
+      // Every fourth function has only its low 16 bits set, the word of
+      // some 4-variable function.
+      if (iter % 4 == 0) word &= 0xffff;
+      const TruthTable f = TruthTable::FromWord(word, k);
+      const Sop want = Isop(f, TruthTable::Const0(k));
+      ExpectSameCover(memo.Cover(f), want, "miss");
+      ExpectSameCover(memo.Cover(k, word | ~MintermMask(k)), want,
+                      "hit, bits above the minterm space ignored");
+      // The same word read as a 4-variable function keeps its own cover.
+      if (iter % 4 == 0) {
+        ExpectSameCover(memo.Cover(4, word),
+                        Isop(TruthTable::FromWord(word, 4),
+                             TruthTable::Const0(4)),
+                        "4-variable reading");
+      }
+    }
+  }
+  // Wider functions are computed directly.
+  for (int iter = 0; iter < 20; ++iter) {
+    TruthTable f(8);
+    for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
+      f.Set(m, rng.Chance(0.5));
+    }
+    ExpectSameCover(memo.Cover(f), Isop(f, TruthTable::Const0(8)), "wide");
+  }
+  EXPECT_THROW(memo.Cover(7, 0), std::invalid_argument);
+}
+
 // ------------------------------------------------------------- AllPrimes
 
 TEST(AllPrimes, KnownFunction) {

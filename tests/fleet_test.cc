@@ -124,6 +124,8 @@ TEST(HashRing, RejectsDegenerateConfigurations) {
   EXPECT_THROW(HashRing({}, 64), std::invalid_argument);
   EXPECT_THROW(HashRing({"a", "a"}, 64), std::invalid_argument);
   EXPECT_THROW(HashRing({"a"}, 0), std::invalid_argument);
+  EXPECT_THROW(HashRing({"a"}, kMaxVnodesPerShard + 1),
+               std::invalid_argument);
   const HashRing ring({"a", "b"}, 8);
   EXPECT_THROW(ring.PickExcluding(1, {true, true}), std::invalid_argument);
   EXPECT_THROW(ring.PickExcluding(1, {true}), std::invalid_argument);
@@ -559,11 +561,36 @@ TEST(Fleet, AllShardsUnreachableYieldsTypedUnavailable) {
   router.Wait();
 }
 
+// The CLI's --shards and --vnodes parsers, and the bounds behind them.
+// Large values are checked here only: no fleet or ring is started.
+TEST(Fleet, ShardAndVnodeCountsAreBounded) {
+  EXPECT_EQ(ParseShardCount("1"), 1);
+  EXPECT_EQ(ParseShardCount("2"), 2);
+  EXPECT_EQ(ParseShardCount("64"), kMaxFleetShards);
+  for (const char* bad : {"0", "-1", "65", "100000", "2x", "", "99999999999"}) {
+    EXPECT_THROW(ParseShardCount(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(ParseVnodeCount("1"), 1);
+  EXPECT_EQ(ParseVnodeCount("64"), 64);
+  EXPECT_EQ(ParseVnodeCount("4096"), kMaxVnodesPerShard);
+  for (const char* bad : {"0", "4097", "1000000", "64k", ""}) {
+    EXPECT_THROW(ParseVnodeCount(bad), std::invalid_argument) << bad;
+  }
+  try {
+    ParseShardCount("2x");
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bad --shards value: 2x"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Fleet, RejectsDegenerateOptions) {
-  {
+  for (const int shards : {0, kMaxFleetShards + 1}) {
     FleetOptions o;
-    o.num_shards = 0;
-    EXPECT_THROW(SpeedmaskFleet{o}, std::invalid_argument);
+    o.num_shards = shards;
+    EXPECT_THROW(SpeedmaskFleet{o}, std::invalid_argument) << shards;
   }
   {
     FleetOptions o;

@@ -9,6 +9,7 @@
 #include "liblib/library.h"
 #include "liblib/lsi10k.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace sm {
 namespace {
@@ -67,6 +68,42 @@ TEST(Cell, PrimeCoversReadFromTwoThreadsOnFirstUse) {
   for (const Cell* cell : lib.AllCells()) {
     EXPECT_EQ(cubes[0][i++], AllPrimes(cell->function()).NumCubes());
     EXPECT_EQ(cubes[0][i++], AllPrimes(~cell->function()).NumCubes());
+  }
+}
+
+// Cell::EvalParallel (OR over on-set primes of the AND of their literals)
+// against minterm expansion of the truth table, for every cell of both
+// libraries on random pin words, with distinct and with shared fanins.
+TEST(Cell, EvalParallelMatchesMintermExpansion) {
+  Rng rng(77);
+  for (const Library& lib : {Lsi10kLike(), UnitLibrary()}) {
+    for (const Cell* cell : lib.AllCells()) {
+      const int k = cell->num_pins();
+      const TruthTable& f = cell->function();
+      for (int iter = 0; iter < 200; ++iter) {
+        std::vector<std::uint64_t> values(8);
+        for (auto& w : values) w = rng.Next();
+        std::vector<std::uint32_t> fanins(static_cast<std::size_t>(k));
+        for (int p = 0; p < k; ++p) {
+          fanins[static_cast<std::size_t>(p)] =
+              iter % 2 == 0 ? static_cast<std::uint32_t>(p)
+                            : static_cast<std::uint32_t>(rng.Below(3));
+        }
+        std::uint64_t want = 0;
+        for (std::uint64_t m = 0; m < f.num_minterms_space(); ++m) {
+          if (!f.Get(m)) continue;
+          std::uint64_t term = ~0ull;
+          for (int p = 0; p < k; ++p) {
+            const std::uint64_t w =
+                values[fanins[static_cast<std::size_t>(p)]];
+            term &= ((m >> p) & 1u) ? w : ~w;
+          }
+          want |= term;
+        }
+        EXPECT_EQ(cell->EvalParallel(values.data(), fanins.data()), want)
+            << lib.name() << " " << cell->name() << " iteration " << iter;
+      }
+    }
   }
 }
 

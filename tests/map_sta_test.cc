@@ -55,6 +55,27 @@ TEST(MappedNetlist, BasicAccountingOnComparator) {
   EXPECT_EQ(net.InputIndex(net.FindByName("g1")), -1);
 }
 
+// InputIndex binary-searches the input list; ids ascend even when AddInput
+// and AddGate calls interleave.
+TEST(MappedNetlist, InputIndexOnInterleavedInputs) {
+  const Library lib = UnitLibrary();
+  const Cell* inv = lib.SmallestInverter();
+  MappedNetlist net("interleaved");
+  std::vector<GateId> ins;
+  std::vector<GateId> gates;
+  for (int i = 0; i < 9; ++i) {
+    ins.push_back(net.AddInput(IndexedName("i", i)));
+    gates.push_back(net.AddGate(inv, {ins.back()}));
+    if (i % 2 == 0) gates.push_back(net.AddGate(inv, {gates.back()}));
+  }
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    EXPECT_EQ(net.InputIndex(ins[i]), static_cast<int>(i));
+  }
+  for (GateId id : gates) EXPECT_EQ(net.InputIndex(id), -1);
+  EXPECT_EQ(net.InputIndex(static_cast<GateId>(net.NumElements())), -1);
+  EXPECT_EQ(net.InputIndex(kInvalidGate), -1);
+}
+
 TEST(MappedNetlist, EvalParallelMatchesComparatorSemantics) {
   const Library lib = UnitLibrary();
   const MappedNetlist net = PaperComparator(lib);

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
 #include "boolean/isop.h"
 #include "harness/flow.h"
 #include "liblib/lsi10k.h"
 #include "masking/care_set.h"
 #include "masking/indicator.h"
+#include "masking/report.h"
 #include "network/global_bdd.h"
 #include "network/structural.h"
 #include "sim/event_sim.h"
 #include "sta/paths.h"
+#include "suite/paper_suite.h"
 #include "suite/structured.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -682,6 +689,217 @@ TEST(Flow, CriticalOutputsGuardValidation) {
   const TimingInfo t = AnalyzeTiming(net);
   EXPECT_THROW(CriticalOutputs(net, t, 1.0), std::invalid_argument);
   EXPECT_THROW(CriticalOutputs(net, t, -0.2), std::invalid_argument);
+}
+
+// ----------------------------------------------------- Table-2 overheads
+
+std::string HexDouble(double x) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+// The power column as two independent simulations compute it: C and C ∪ C̃
+// each estimated on the same seeded pattern stream.
+double TwoSimulationPowerPercent(const MappedNetlist& original,
+                                 const MappedNetlist& prot,
+                                 std::uint64_t seed, int words) {
+  const double orig = EstimatePower(original, seed, 0, words).dynamic;
+  const double both = EstimatePower(prot, seed, 0, words).dynamic;
+  return orig <= 0 ? 0 : 100.0 * (both - orig) / orig;
+}
+
+// Pins Table 2's slack, area and power columns of all 20 circuits bit for
+// bit (%a), as the flow computed them when the power overhead came from two
+// separate simulations; the one-simulation estimate must also equal that
+// two-simulation oracle on every circuit.
+TEST(Table2, OverheadsMatchThePins) {
+  struct Pin {
+    const char* name;
+    double power;
+    double area;
+    double slack;
+  };
+  const Pin pins[] = {
+      {"i1", 0x1.6f20fbf1ee393p+4, 0x1.206f74ae26502p+5, 0x1.32062b2e43dbp+6},
+      {"cmb", 0x1.14874f6d4830fp+5, 0x1.c4d4873ecade3p+5, 0x1.42aaaaaaaaaabp+6},
+      {"x2", 0x1.3492d8290fca9p+3, 0x1.158d0fac687d6p+5, 0x1.5321642c8590bp+6},
+      {"cu", 0x1.d631d1898fec3p+4, 0x1.68p+5, 0x1.409696969696ap+6},
+      {"too_large",
+       0x1.21ea9836c8d1bp+5, 0x1.89a69a69a69a7p+5, 0x1.197b425ed097ap+6},
+      {"k2", 0x1.e1b3af8758987p-1, 0x1.0cbab235bef07p+1, 0x1.59e1e1e1e1e1ep+6},
+      {"alu2",
+       0x1.11d0ad991e97cp+3, 0x1.86b29aca6b29bp+3, 0x1.582252f320e4dp+6},
+      {"alu4",
+       0x1.3590640438b22p+3, 0x1.0e96969696969p+4, 0x1.4ceb5445f675bp+6},
+      {"apex4",
+       0x1.7b2eb418c6ecbp+3, 0x1.2e5cb972e5cb9p+4, 0x1.35c64171905c6p+6},
+      {"apex6",
+       0x1.10254aa4e1ab5p+4, 0x1.b605d71e2cc69p+4, 0x1.24cf7a24cf7a3p+6},
+      {"frg1",
+       0x1.50e8474c81ddcp+5, 0x1.0884210842108p+6, 0x1.3bec6ee104e44p+6},
+      {"C432",
+       0x1.6327e739bceccp+5, 0x1.0f0d79435e50dp+6, 0x1.260dd67c8a60ep+6},
+      {"C880",
+       0x1.1dfd8e6dbb82fp+1, 0x1.c19637021d9ebp+2, 0x1.50b577e613717p+6},
+      {"C2670", 0x1.656211da1d9a4p+4, 0x1.054p+5, 0x1.0f24149e112e7p+6},
+      {"sparc_ifu_dec",
+       0x1.f87245d031985p+4, 0x1.52f15289a04f5p+5, 0x1.11af286bca1aep+6},
+      {"sparc_ifu_invctl",
+       0x1.9a7b5603871bdp+3, 0x1.4cdae764450cep+4, 0x1.2cp+6},
+      {"sparc_ifu_ifqdp",
+       0x1.9a0dfa03aef02p+2, 0x1.20150b85f6389p+3, 0x1.11cf3cf3cf3cfp+6},
+      {"sparc_ifu_dcl",
+       0x1.e9cf30db65a16p+3, 0x1.69fdaee9fdaefp+4, 0x1.284bda12f684cp+6},
+      {"lsu_stb_ctl",
+       0x1.1af233f26b8e4p+4, 0x1.843802df53a86p+4, 0x1.2656f1826a43ap+6},
+      {"sparc_exu_ecl",
+       0x1.5aea6e1954d53p+3, 0x1.d983d8a4958e9p+3, 0x1.27c1f07c1f07cp+6},
+  };
+  const std::vector<PaperCircuitInfo> infos = Table2Circuits();
+  const std::vector<Network> nets = GenerateCircuits(infos, 1);
+  ASSERT_EQ(nets.size(), std::size(pins));
+  const Library lib = Lsi10kLike();
+  const FlowOptions options;
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    ASSERT_EQ(infos[i].spec.name, pins[i].name);
+    const FlowResult r = RunMaskingFlow(nets[i], lib, options);
+    const OverheadReport& o = r.overheads;
+    EXPECT_EQ(HexDouble(o.power_percent), HexDouble(pins[i].power))
+        << pins[i].name;
+    EXPECT_EQ(HexDouble(o.area_percent), HexDouble(pins[i].area))
+        << pins[i].name;
+    EXPECT_EQ(HexDouble(o.slack_percent), HexDouble(pins[i].slack))
+        << pins[i].name;
+    EXPECT_EQ(HexDouble(o.power_percent),
+              HexDouble(TwoSimulationPowerPercent(
+                  r.original, r.protected_circuit.netlist, options.power_seed,
+                  options.power_words)))
+        << pins[i].name;
+  }
+}
+
+// An original whose AddInput and AddGate calls interleave: a small cone
+// feeding outputs y and z, plus a bank of gates w0..w11 that read only
+// inputs, so a copy may place them in another order.
+MappedNetlist InterleavedOriginal(const Library& lib) {
+  MappedNetlist c("interleaved");
+  const GateId a = c.AddInput("a");
+  const GateId na = c.AddGate(lib.ByNameOrThrow("INV"), {a}, "na");
+  const GateId b = c.AddInput("b");
+  const GateId x = c.AddGate(lib.ByNameOrThrow("NAND2"), {na, b}, "x");
+  const GateId d = c.AddInput("d");
+  const char* bank[] = {"NAND2", "NOR2", "XOR2", "AOI21", "OAI21", "MUX2",
+                        "AND3",  "OR2",  "MAJ3", "XNOR2", "NAND3", "OAI22"};
+  GateId e = kInvalidGate;
+  for (int i = 0; i < 12; ++i) {
+    if (i == 6) e = c.AddInput("e");
+    const GateId pool[] = {a, b, d, e == kInvalidGate ? a : e};
+    const Cell* cell = lib.ByNameOrThrow(bank[i]);
+    std::vector<GateId> fanins;
+    for (int p = 0; p < cell->num_pins(); ++p) {
+      fanins.push_back(pool[static_cast<std::size_t>(i + p) % 4]);
+    }
+    c.AddOutput(IndexedName("w", i),
+                c.AddGate(cell, fanins, IndexedName("w", i)));
+  }
+  const GateId y = c.AddGate(lib.ByNameOrThrow("AOI21"), {x, d, a}, "y");
+  const GateId z = c.AddGate(lib.ByNameOrThrow("XOR2"), {y, b}, "z");
+  c.AddOutput("y", y);
+  c.AddOutput("z", z);
+  return c;
+}
+
+// A protected netlist laid out as IntegrateMasking lays one out: C's inputs
+// first in C's input order, then C's gates in `gate_order` (topological),
+// then masking logic and a mux on output y. Two ways to break the verbatim
+// copy: `swap_pins_of` names a gate whose first two pins the copy swaps,
+// and `inputs_reversed` creates the inputs in reverse order.
+MappedNetlist ProtectedCopy(const MappedNetlist& c, const Library& lib,
+                            const std::vector<GateId>& gate_order,
+                            const std::string& swap_pins_of = "",
+                            bool inputs_reversed = false) {
+  MappedNetlist prot(c.name() + "_protected");
+  std::vector<GateId> copy(c.NumElements(), kInvalidGate);
+  std::vector<GateId> inputs = c.inputs();
+  if (inputs_reversed) std::reverse(inputs.begin(), inputs.end());
+  for (GateId in : inputs) copy[in] = prot.AddInput(c.element(in).name);
+  for (GateId id : gate_order) {
+    std::vector<GateId> fanins;
+    for (GateId f : c.fanins(id)) fanins.push_back(copy[f]);
+    if (c.element(id).name == swap_pins_of) std::swap(fanins[0], fanins[1]);
+    copy[id] = prot.AddGate(c.element(id).cell, fanins, c.element(id).name);
+  }
+  const auto at = [&](const char* name) { return copy[c.FindByName(name)]; };
+  const GateId pred =
+      prot.AddGate(lib.ByNameOrThrow("NOR2"), {at("x"), at("d")}, "em_p");
+  const GateId ind =
+      prot.AddGate(lib.ByNameOrThrow("OR2"), {at("a"), at("b")}, "em_e");
+  for (const auto& o : c.outputs()) {
+    const GateId driver = copy[o.driver];
+    prot.AddOutput(o.name, o.name != "y"
+                               ? driver
+                               : prot.AddGate(lib.ByNameOrThrow("MUX2"),
+                                              {ind, driver, pred}, "mux_y"));
+  }
+  return prot;
+}
+
+// C's gates in id order, and the same with the w-bank copied first and
+// reversed (still topological: the bank reads only inputs).
+std::vector<GateId> GatesInOrder(const MappedNetlist& c, bool bank_reversed) {
+  std::vector<GateId> order;
+  std::vector<GateId> rest;
+  for (GateId id = 0; id < c.NumElements(); ++id) {
+    if (c.IsInput(id)) continue;
+    if (bank_reversed && c.element(id).name[0] == 'w') {
+      order.push_back(id);
+    } else {
+      rest.push_back(id);
+    }
+  }
+  std::reverse(order.begin(), order.end());
+  order.insert(order.end(), rest.begin(), rest.end());
+  return order;
+}
+
+TEST(Overheads, OneSimulationEqualsTwoOnAnInterleavedOriginal) {
+  const Library lib = Lsi10kLike();
+  const MappedNetlist c = InterleavedOriginal(lib);
+  ASSERT_EQ(c.inputs(), (std::vector<GateId>{0, 2, 4, 11}));
+  for (const bool bank_reversed : {false, true}) {
+    const MappedNetlist prot =
+        ProtectedCopy(c, lib, GatesInOrder(c, bank_reversed));
+    const std::vector<GateId> copy_of = VerbatimCopyMap(c, prot);
+    for (std::size_t i = 0; i < c.NumInputs(); ++i) {
+      EXPECT_EQ(copy_of[c.inputs()[i]], prot.inputs()[i]);
+    }
+    const ProtectedCircuit pc{prot, {}, 0, 0, 0, 0};
+    for (const std::uint64_t seed : {1ull, 99ull, 12345ull}) {
+      for (const int words : {1, 3, 64}) {
+        const OverheadReport r = ComputeOverheads(c, pc, seed, words);
+        EXPECT_EQ(HexDouble(r.power_percent),
+                  HexDouble(TwoSimulationPowerPercent(c, prot, seed, words)))
+            << "bank reversed " << bank_reversed << ", seed " << seed << ", "
+            << words << " words";
+        EXPECT_GT(r.power_percent, 0);
+      }
+    }
+  }
+}
+
+TEST(Overheads, RejectNonVerbatimCopies) {
+  const Library lib = Lsi10kLike();
+  const MappedNetlist c = InterleavedOriginal(lib);
+  const MappedNetlist rewired =
+      ProtectedCopy(c, lib, GatesInOrder(c, false), "x");
+  const MappedNetlist reordered =
+      ProtectedCopy(c, lib, GatesInOrder(c, false), "", true);
+  EXPECT_THROW(VerbatimCopyMap(c, rewired), InternalError);
+  EXPECT_THROW(VerbatimCopyMap(c, reordered), InternalError);
+  EXPECT_THROW(VerbatimCopyMap(c, MappedNetlist("empty")), InternalError);
+  EXPECT_THROW(ComputeOverheads(c, {rewired, {}, 0, 0, 0, 0}, 1, 4),
+               InternalError);
 }
 
 }  // namespace

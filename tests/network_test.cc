@@ -46,6 +46,29 @@ TEST(Network, BasicStructure) {
   EXPECT_EQ(net.FindByName("nope"), kInvalidNode);
 }
 
+// InputIndex binary-searches the input list; ids ascend even when inputs
+// and logic nodes are created interleaved.
+TEST(Network, InputIndexOnInterleavedInputs) {
+  Network net("interleaved");
+  std::vector<NodeId> ins;
+  std::vector<NodeId> logic;
+  for (int i = 0; i < 9; ++i) {
+    ins.push_back(net.AddInput(IndexedName("i", i)));
+    logic.push_back(
+        net.AddNode({ins.back()}, Sop(1, {Cube::Literal(0, false)})));
+    if (i % 3 == 0) {
+      logic.push_back(
+          net.AddNode({ins.back()}, Sop(1, {Cube::Literal(0, true)})));
+    }
+  }
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    EXPECT_EQ(net.InputIndex(ins[i]), static_cast<int>(i));
+  }
+  for (NodeId id : logic) EXPECT_EQ(net.InputIndex(id), -1);
+  EXPECT_EQ(net.InputIndex(static_cast<NodeId>(net.NumNodes())), -1);
+  EXPECT_EQ(net.InputIndex(kInvalidNode), -1);
+}
+
 TEST(Network, RejectsForwardFanins) {
   Network net("bad");
   const NodeId a = net.AddInput("a");
@@ -179,6 +202,26 @@ TEST(Sweep, MergesStructurallyIdenticalNodes) {
   EXPECT_EQ(FirstMismatchingOutput(net, r.network), -1);
   const NodeId drv = r.network.output(0).driver;
   EXPECT_TRUE(r.network.function(drv).IsConst0());
+}
+
+// The structural table merges a node only with one of the same function on
+// the same fanins: hundreds of AND2s over distinct input pairs all survive,
+// however the table buckets them.
+TEST(Sweep, KeepsSameFunctionOnDistinctFaninsApart) {
+  Network net("pairs");
+  std::vector<NodeId> in;
+  for (int i = 0; i < 24; ++i) in.push_back(net.AddInput(IndexedName("i", i)));
+  std::size_t ands = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    for (std::size_t j = i + 1; j < in.size(); ++j) {
+      const NodeId g = AddAnd(net, {in[i], in[j]}, IndexedName("g", ands));
+      net.AddOutput(IndexedName("o", ands++), g);
+    }
+  }
+  const SweepResult r = Sweep(net);
+  EXPECT_EQ(r.removed_nodes, 0u);
+  EXPECT_EQ(r.network.NumLogicNodes(), ands);
+  EXPECT_EQ(FirstMismatchingOutput(net, r.network), -1);
 }
 
 TEST(Sweep, MergedDuplicateFaninVariables) {
