@@ -6,6 +6,7 @@
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/tech_map.h"
+#include "network/decompose.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/paper_suite.h"
@@ -67,6 +68,22 @@ void BM_TechMapC432(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TechMapC432);
+
+// TechMap alone on the largest Table-2 subject graph (13 922 nodes);
+// argument 0 is area mode, 1 delay mode.
+void BM_TechMapLargestTable2(benchmark::State& state) {
+  const Library lib = Lsi10kLike();
+  const Network subject =
+      DecomposeToAndInv(
+          GenerateCircuit(PaperCircuitByName("sparc_ifu_ifqdp").spec))
+          .network;
+  TechMapOptions opts;
+  if (state.range(0) != 0) opts.mode = TechMapOptions::Mode::kDelay;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TechMap(subject, lib, opts));
+  }
+}
+BENCHMARK(BM_TechMapLargestTable2)->Arg(0)->Arg(1);
 
 void BM_StaC2670(benchmark::State& state) {
   const Library lib = Lsi10kLike();

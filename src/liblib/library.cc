@@ -1,6 +1,7 @@
 #include "liblib/library.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -13,7 +14,25 @@ const Cell* Library::Add(Cell cell) {
   SM_REQUIRE(ByName(cell.name()) == nullptr,
              "duplicate cell name: " << cell.name());
   cells_.push_back(std::make_unique<Cell>(std::move(cell)));
-  return cells_.back().get();
+  const Cell* added = cells_.back().get();
+  const int k = added->num_pins();
+  if (k < 1 || k > kWordVars) return added;
+  std::vector<int> perm(static_cast<std::size_t>(k));
+  std::iota(perm.begin(), perm.end(), 0);
+  do {
+    auto& bucket = index_[static_cast<std::size_t>(k)]
+                         [added->function().Remap(perm, k).ToWord()];
+    // One permutation per (cell, function) suffices: pin delays are
+    // per-pin, so keep the first one found. The cell is the newest, so a
+    // bucket that holds it ends with it.
+    if (!bucket.empty() && bucket.back().cell == added) continue;
+    CellMatch m{added, {}};
+    for (std::size_t pin = 0; pin < perm.size() && pin < m.perm.size(); ++pin) {
+      m.perm[pin] = static_cast<std::uint8_t>(perm[pin]);
+    }
+    bucket.push_back(m);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return added;
 }
 
 const Cell* Library::ByName(const std::string& name) const {

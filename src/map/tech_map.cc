@@ -1,220 +1,31 @@
 #include "map/tech_map.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
-#include <numeric>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
+#include "map/cut_enum.h"
 #include "network/decompose.h"
 #include "util/check.h"
 
 namespace sm {
 namespace {
 
+using map_detail::Cut;
+using map_detail::CutEnumerator;
+using map_detail::CutFunction;
+using map_detail::FlatSubject;
+using map_detail::kMaxLeaves;
+using map_detail::Op;
 using Mode = TechMapOptions::Mode;
 
-constexpr int kMaxLeaves = kWordVars;  // a cut function fits one word
-
-struct Match {
-  const Cell* cell;
-  std::array<int, kMaxLeaves> perm;  // perm[pin] = leaf index of the pin
-};
-
-// Permutation-complete match table: (leaf count, truth word) -> matches, in
-// library order.
-class MatchTable {
- public:
-  MatchTable(const Library& lib, int max_leaves) {
-    for (const Cell* cell : lib.AllCells()) {
-      const int k = cell->num_pins();
-      if (k < 1 || k > max_leaves) continue;
-      std::vector<int> perm(static_cast<std::size_t>(k));
-      std::iota(perm.begin(), perm.end(), 0);
-      do {
-        auto& bucket =
-            table_[static_cast<std::size_t>(k)]
-                  [cell->function().Remap(perm, k).ToWord()];
-        // One permutation per (cell, key) suffices: pin delays are
-        // per-pin, so keep the first permutation found for each cell.
-        const bool seen = std::any_of(
-            bucket.begin(), bucket.end(),
-            [cell](const Match& m) { return m.cell == cell; });
-        if (!seen) {
-          Match m{cell, {}};
-          std::copy(perm.begin(), perm.end(), m.perm.begin());
-          bucket.push_back(m);
-        }
-      } while (std::next_permutation(perm.begin(), perm.end()));
-    }
-  }
-
-  const std::vector<Match>* Find(int k, std::uint64_t truth) const {
-    const auto& by_truth = table_[static_cast<std::size_t>(k)];
-    const auto it = by_truth.find(truth);
-    return it == by_truth.end() ? nullptr : &it->second;
-  }
-
- private:
-  std::array<std::unordered_map<std::uint64_t, std::vector<Match>>,
-             kMaxLeaves + 1>
-      table_;
-};
-
-// Sorted leaf ids, stored inline.
-struct Cut {
-  std::array<NodeId, kMaxLeaves> leaf{};
-  int size = 0;
-
-  const NodeId* begin() const { return leaf.data(); }
-  const NodeId* end() const { return leaf.data() + size; }
-
-  // Smaller cuts first, then lexicographic.
-  bool operator<(const Cut& o) const {
-    return size != o.size ? size < o.size
-                          : std::lexicographical_compare(begin(), end(),
-                                                         o.begin(), o.end());
-  }
-  bool operator==(const Cut& o) const {
-    return size == o.size && std::equal(begin(), end(), o.begin());
-  }
-};
-
-// Merges two sorted leaf sets into `out`; false when the union exceeds k.
-bool MergeCuts(const Cut& a, const Cut& b, int k, Cut& out) {
-  int i = 0;
-  int j = 0;
-  int n = 0;
-  while (i < a.size || j < b.size) {
-    NodeId next;
-    if (j == b.size || (i < a.size && a.leaf[i] < b.leaf[j])) {
-      next = a.leaf[i++];
-    } else if (i == a.size || b.leaf[j] < a.leaf[i]) {
-      next = b.leaf[j++];
-    } else {
-      next = a.leaf[i++];
-      ++j;
-    }
-    if (n == k || n == kMaxLeaves) return false;
-    out.leaf[n++] = next;
-  }
-  out.size = n;
-  return true;
-}
-
-// Inserts `c` into `cuts`, which stays sorted, duplicate-free and at most
-// `cap` long: after all candidates it holds the first `cap` distinct cuts in
-// Cut order, the set and order that sorting every candidate, dropping
-// duplicates and truncating would give.
-void InsertBounded(std::vector<Cut>& cuts, const Cut& c, std::size_t cap) {
-  if (cuts.size() == cap && (cap == 0 || !(c < cuts.back()))) return;
-  const auto pos = std::lower_bound(cuts.begin(), cuts.end(), c);
-  if (pos != cuts.end() && *pos == c) return;
-  const std::ptrdiff_t at = pos - cuts.begin();
-  if (cuts.size() == cap) cuts.pop_back();
-  cuts.insert(cuts.begin() + at, c);
-}
-
-// The subject graph in flat per-node arrays. The mapper's inner loops read
-// these instead of the bounds-checked Network accessors.
-enum class Op : std::uint8_t {
-  kLeaf,  // primary input or constant node: only its trivial cut
-  kBuf,
-  kInv,
-  kAnd,
-};
-
-struct FlatSubject {
-  std::vector<Op> op;
-  std::vector<NodeId> fanin0;
-  std::vector<NodeId> fanin1;  // kAnd only
-
-  explicit FlatSubject(const Network& net)
-      : op(net.NumNodes(), Op::kLeaf),
-        fanin0(net.NumNodes(), kInvalidNode),
-        fanin1(net.NumNodes(), kInvalidNode) {
-    for (NodeId id = 0; id < net.NumNodes(); ++id) {
-      if (net.kind(id) != NodeKind::kLogic) continue;
-      const auto& fin = net.fanins(id);
-      if (fin.empty()) continue;
-      fanin0[id] = fin[0];
-      if (fin.size() == 2) {
-        fanin1[id] = fin[1];
-        op[id] = Op::kAnd;
-      } else {
-        // A 1-input subject node is an inverter or a buffer
-        // (IsAndInvNetwork).
-        op[id] = net.function(id).cubes()[0].neg() != 0 ? Op::kInv : Op::kBuf;
-      }
-    }
-  }
-};
-
-// Evaluates a node's function over one of its cuts on 64-bit words. The DFS
-// from the root stops at every leaf, so a leaf that also lies inside another
-// leaf's cone is a free variable. Scratch state is epoch-stamped and reused.
-class CutEvaluator {
- public:
-  explicit CutEvaluator(const FlatSubject& g)
-      : g_(g), value_(g.op.size()), stamp_(g.op.size(), 0) {}
-
-  std::uint64_t Eval(NodeId root, const Cut& cut) {
-    ++epoch_;
-    for (int i = 0; i < cut.size; ++i) {
-      value_[cut.leaf[i]] = kVarWord[i];
-      stamp_[cut.leaf[i]] = epoch_;
-    }
-    stack_.clear();
-    stack_.push_back(root);
-    while (!stack_.empty()) {
-      const NodeId n = stack_.back();
-      if (stamp_[n] == epoch_) {
-        stack_.pop_back();
-        continue;
-      }
-      const Op op = g_.op[n];
-      SM_CHECK(op != Op::kLeaf,
-               "cut does not cover the cone (reached a free input)");
-      const NodeId f0 = g_.fanin0[n];
-      const NodeId f1 = op == Op::kAnd ? g_.fanin1[n] : f0;
-      const bool ready0 = stamp_[f0] == epoch_;
-      const bool ready1 = stamp_[f1] == epoch_;
-      if (!ready0) stack_.push_back(f0);
-      if (!ready1 && f1 != f0) stack_.push_back(f1);
-      if (!ready0 || !ready1) continue;
-      stack_.pop_back();
-      switch (op) {
-        case Op::kAnd:
-          value_[n] = value_[f0] & value_[f1];
-          break;
-        case Op::kInv:
-          value_[n] = ~value_[f0];
-          break;
-        default:
-          value_[n] = value_[f0];
-          break;
-      }
-      stamp_[n] = epoch_;
-    }
-    return value_[root] & MintermMask(cut.size);
-  }
-
- private:
-  const FlatSubject& g_;
-  std::vector<std::uint64_t> value_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
-  std::vector<NodeId> stack_;
-};
-
+// A node's chosen match and a copy of its cut, for extraction.
 struct Choice {
   const Cell* cell = nullptr;
-  const Match* match = nullptr;  // null for tie cells
-  std::size_t cut = 0;           // arena index of the chosen cut
-  double cost = std::numeric_limits<double>::infinity();     // area flow
-  double arrival = std::numeric_limits<double>::infinity();  // delay mode
+  const CellMatch* match = nullptr;  // null for tie cells
+  Cut cut;
 };
 
 }  // namespace
@@ -226,126 +37,83 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
   SM_REQUIRE(lib.SmallestInverter() != nullptr, "library lacks an inverter");
   const int k = std::min({options.max_cut_leaves, lib.MaxPins(), kMaxLeaves});
   SM_REQUIRE(k >= 2, "mapper needs cuts of at least 2 leaves");
-  const MatchTable matches(lib, k);
 
   const std::size_t n = subject.NumNodes();
-  const auto& fanouts = subject.Fanouts();
   const FlatSubject g(subject);
 
   // --- cut enumeration + matching DP, one topological pass -------------
-  // Node id owns arena[first[id], first[id + 1]): its trivial cut, then the
-  // non-trivial ones. A node keeps at most max_cuts_per_node cuts plus the
-  // trivial cut and the re-appended anchor, so the arena never reallocates.
-  const std::size_t max_cuts =
-      static_cast<std::size_t>(std::max(0, options.max_cuts_per_node));
-  std::vector<Cut> arena;
-  arena.reserve(n * (max_cuts + 2));
-  std::vector<std::size_t> first(n + 1, 0);
-  std::vector<Cut> mine;  // scratch: the node's kept cuts
-  mine.reserve(max_cuts + 1);
-  CutEvaluator evaluator(g);
+  CutEnumerator enumerator(g, k, options.max_cuts_per_node);
   std::vector<Choice> best(n);
+  // A mapped node's area flow (its cost shared among its fanout edges) and
+  // arrival, as its fanouts' DP reads them; 0 for inputs and constants.
+  std::vector<double> leaf_flow(n, 0.0);
+  std::vector<double> leaf_arr(n, 0.0);
   for (NodeId id = 0; id < n; ++id) {
-    first[id] = arena.size();
-    Cut trivial;  // used by fanouts
-    trivial.leaf[0] = id;
-    trivial.size = 1;
-    arena.push_back(trivial);
+    enumerator.Enumerate(id);
     if (g.op[id] == Op::kLeaf) continue;
-
-    const NodeId f0 = g.fanin0[id];
-    const Cut* const a = arena.data() + first[f0];
-    const Cut* const a_end = arena.data() + first[f0 + 1];
-    // Keep the smallest distinct cuts, capped, in Cut order.
-    mine.clear();
-    if (g.op[id] != Op::kAnd) {
-      for (const Cut* ca = a; ca != a_end; ++ca) {
-        InsertBounded(mine, *ca, max_cuts);
-      }
-    } else {
-      const NodeId f1 = g.fanin1[id];
-      const Cut* const b = arena.data() + first[f1];
-      const Cut* const b_end = arena.data() + first[f1 + 1];
-      Cut m;
-      for (const Cut* ca = a; ca != a_end; ++ca) {
-        for (const Cut* cb = b; cb != b_end; ++cb) {
-          if (MergeCuts(*ca, *cb, k, m)) InsertBounded(mine, m, max_cuts);
-        }
-      }
-    }
-    // The direct-fanin cut is the feasibility anchor (it always matches an
-    // AND2 or inverter); re-append it if pruning dropped it.
-    {
-      Cut direct;
-      direct.leaf[0] = f0;
-      direct.size = 1;
-      const NodeId f1 = g.fanin1[id];
-      if (g.op[id] == Op::kAnd && f1 != f0) {
-        direct.leaf[0] = std::min(f0, f1);
-        direct.leaf[1] = std::max(f0, f1);
-        direct.size = 2;
-      }
-      if (std::find(mine.begin(), mine.end(), direct) == mine.end()) {
-        mine.push_back(direct);
-      }
-    }
-    // Publish the non-trivial cuts for fanouts behind the trivial one.
-    const std::size_t own = arena.size();
-    arena.insert(arena.end(), mine.begin(), mine.end());
+    const std::span<const Cut> cuts = enumerator.cuts();
+    const std::span<const CutFunction> fns = enumerator.functions();
 
     // DP over matches of each cut.
     Choice& my = best[id];
-    for (std::size_t c = own; c < arena.size(); ++c) {
-      const Cut& cut = arena[c];
-      const std::uint64_t f = evaluator.Eval(id, cut);
+    std::size_t chosen = 0;
+    double cost = std::numeric_limits<double>::infinity();     // area flow
+    double arrival = std::numeric_limits<double>::infinity();  // delay mode
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      const Cut& cut = cuts[c];
+      const std::uint64_t valid = MintermMask(cut.size);
+      const std::uint64_t f = fns[c].word & valid;
       // A constant cut function means the node is structurally constant
       // (e.g. AND of a signal with its inverse); a tie cell realizes it.
-      if (f == 0 || f == MintermMask(cut.size)) {
+      if (f == 0 || f == valid) {
         const Cell* tie_cell = lib.SmallestConstant(f != 0);
         if (tie_cell != nullptr &&
-            (options.mode == Mode::kArea ? tie_cell->area() < my.cost
-                                         : 0.0 < my.arrival)) {
-          my = Choice{tie_cell, nullptr, c, tie_cell->area(), 0.0};
+            (options.mode == Mode::kArea ? tie_cell->area() < cost
+                                         : 0.0 < arrival)) {
+          my.cell = tie_cell;
+          my.match = nullptr;
+          chosen = c;
+          cost = tie_cell->area();
+          arrival = 0.0;
         }
         continue;
       }
-      const std::vector<Match>* bucket = matches.Find(cut.size, f);
+      const std::vector<CellMatch>* bucket = lib.Matches(cut.size, f);
       if (bucket == nullptr) continue;
-      for (const Match& m : *bucket) {
+      for (const CellMatch& m : *bucket) {
         double flow = m.cell->area();
-        for (NodeId leaf : cut) {
-          if (g.op[leaf] == Op::kLeaf) continue;
-          const double refs =
-              std::max<std::size_t>(1, fanouts[leaf].size());
-          flow += best[leaf].cost / static_cast<double>(refs);
-        }
-        double arrival = 0;
+        for (NodeId leaf : cut) flow += leaf_flow[leaf];
+        double at = 0;
         for (int pin = 0; pin < m.cell->num_pins(); ++pin) {
-          const NodeId leaf = cut.leaf[m.perm[pin]];
-          const double leaf_arr =
-              g.op[leaf] == Op::kLeaf ? 0.0 : best[leaf].arrival;
-          arrival = std::max(arrival, leaf_arr + m.cell->pin_delay(pin));
+          at = std::max(at, leaf_arr[cut.leaf[m.perm[pin]]] +
+                                m.cell->pin_delay(pin));
         }
         const bool better =
             options.mode == Mode::kArea
-                ? (flow < my.cost ||
-                   (flow == my.cost && arrival < my.arrival))
-                : (arrival < my.arrival ||
-                   (arrival == my.arrival && flow < my.cost));
+                ? (flow < cost || (flow == cost && at < arrival))
+                : (at < arrival || (at == arrival && flow < cost));
         if (better) {
-          my = Choice{m.cell, &m, c, flow, arrival};
+          my.cell = m.cell;
+          my.match = &m;
+          chosen = c;
+          cost = flow;
+          arrival = at;
         }
       }
     }
     SM_CHECK(my.cell != nullptr,
              "no library match for node " << subject.node_name(id)
                                           << " — library incomplete");
-    // Leaf nodes (kLeaf) keep arrival 0 / cost 0 implicitly.
+    my.cut = cuts[chosen];
+    leaf_flow[id] =
+        cost / static_cast<double>(std::max<std::uint32_t>(1, g.fanouts[id]));
+    leaf_arr[id] = arrival;
   }
 
   // --- extraction -------------------------------------------------------
   TechMapResult result{MappedNetlist(subject.name()),
-                       std::vector<GateId>(n, kInvalidGate)};
+                       std::vector<GateId>(n, kInvalidGate),
+                       enumerator.stats()};
   MappedNetlist& out = result.netlist;
   for (NodeId id : subject.inputs()) {
     result.node_map[id] = out.AddInput(subject.node_name(id));
@@ -382,7 +150,7 @@ TechMapResult TechMap(const Network& subject, const Library& lib,
       work.pop_back();
       continue;
     }
-    const Cut& cut = arena[ch.cut];
+    const Cut& cut = ch.cut;
     bool ready = true;
     for (NodeId leaf : cut) {
       if (result.node_map[leaf] == kInvalidGate) {

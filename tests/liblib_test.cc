@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -144,6 +146,57 @@ TEST(Library, CellsWithPins) {
   for (const Cell* c : lib.CellsWithPins(2)) EXPECT_EQ(c->num_pins(), 2);
   EXPECT_FALSE(lib.CellsWithPins(2).empty());
   EXPECT_FALSE(lib.CellsWithPins(4).empty());
+}
+
+// The match index is permutation-complete: every pin permutation of every
+// cell of 1..6 pins finds the cell, once, in a bucket that lists cells in
+// library order, with the lexicographically first permutation that yields
+// the bucket's function.
+TEST(Library, MatchIndexIsPermutationCompleteInLibraryOrder) {
+  for (const Library& lib : {Lsi10kLike(), UnitLibrary()}) {
+    const std::vector<const Cell*> cells = lib.AllCells();
+    std::size_t indexed = 0;
+    for (std::size_t pos = 0; pos < cells.size(); ++pos) {
+      const Cell* cell = cells[pos];
+      const int k = cell->num_pins();
+      if (k < 1 || k > kWordVars) continue;
+      ++indexed;
+      std::vector<int> perm(static_cast<std::size_t>(k));
+      std::iota(perm.begin(), perm.end(), 0);
+      std::vector<std::uint64_t> seen;  // functions of earlier permutations
+      do {
+        const std::uint64_t word = cell->function().Remap(perm, k).ToWord();
+        const std::vector<CellMatch>* bucket = lib.Matches(k, word);
+        ASSERT_NE(bucket, nullptr) << cell->name();
+        std::size_t hits = 0;
+        std::size_t last = 0;
+        for (const CellMatch& m : *bucket) {
+          const auto at = std::find(cells.begin(), cells.end(), m.cell);
+          ASSERT_NE(at, cells.end());
+          const std::size_t p = static_cast<std::size_t>(at - cells.begin());
+          if (&m != &bucket->front()) {
+            EXPECT_LT(last, p) << cell->name();
+          }
+          last = p;
+          EXPECT_EQ(m.cell->num_pins(), k);
+          if (m.cell != cell) continue;
+          ++hits;
+          const std::vector<int> stored(m.perm.begin(), m.perm.begin() + k);
+          EXPECT_EQ(cell->function().Remap(stored, k).ToWord(), word);
+          const bool first = std::find(seen.begin(), seen.end(), word) ==
+                             seen.end();
+          if (first) {
+            EXPECT_EQ(stored, perm) << cell->name();
+          }
+        }
+        EXPECT_EQ(hits, 1u) << cell->name();
+        seen.push_back(word);
+      } while (std::next_permutation(perm.begin(), perm.end()));
+    }
+    EXPECT_GE(indexed, 20u);
+    // No 2-pin cell passes its first pin through.
+    EXPECT_EQ(lib.Matches(2, kVarWord[0] & MintermMask(2)), nullptr);
+  }
 }
 
 TEST(Library, RejectsDuplicates) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "liblib/lsi10k.h"
+#include "map/cut_enum.h"
 #include "map/mapped_bdd.h"
 #include "map/mapped_netlist.h"
 #include "map/netlist_io.h"
@@ -14,6 +18,7 @@
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "pinned_networks.h"
 
 namespace sm {
 namespace {
@@ -422,6 +427,145 @@ TEST(TechMap, Table2NetlistsMatchGoldenDigests) {
         << golden[i].name << " (area mode)";
     EXPECT_EQ(digest(nets[i], delay_opts), golden[i].delay)
         << golden[i].name << " (delay mode)";
+  }
+}
+
+// Differential oracle for the composed cut functions: every kept cut of the
+// 56 pinned subject graphs must carry the word and interior signature that
+// the leaf-stopping DFS gives on its leaves. Enumeration does not read the
+// mode; both modes of TechMap are checked to run this same enumeration.
+TEST(CutEnum, ComposedFunctionsMatchTheLeafStoppingDfs) {
+  using map_detail::CutEnumerator;
+  using map_detail::CutEvaluator;
+  using map_detail::CutFunction;
+  using map_detail::FlatSubject;
+  const Library lib = Lsi10kLike();
+  const TechMapOptions defaults;
+  const int k = std::min({defaults.max_cut_leaves, lib.MaxPins(),
+                          map_detail::kMaxLeaves});
+  std::size_t checked = 0;
+  TechMapStats total;
+  for (const Network& net : PinnedSubjectSources()) {
+    const Network subject = DecomposeToAndInv(net).network;
+    const FlatSubject g(subject);
+    CutEnumerator enumerator(g, k, defaults.max_cuts_per_node);
+    CutEvaluator dfs(g);
+    std::size_t mismatches = 0;
+    for (NodeId id = 0; id < subject.NumNodes(); ++id) {
+      enumerator.Enumerate(id);
+      const auto cuts = enumerator.cuts();
+      const auto fns = enumerator.functions();
+      ASSERT_EQ(cuts.size(), fns.size());
+      for (std::size_t c = 0; c < cuts.size(); ++c) {
+        const CutFunction want = dfs.Eval(id, cuts[c]);
+        if (fns[c] == want) continue;
+        if (++mismatches <= 3) {
+          ADD_FAILURE() << subject.name() << " node " << id << " cut " << c
+                        << ": word 0x" << std::hex << fns[c].word
+                        << " interior 0x" << fns[c].interior
+                        << ", DFS word 0x" << want.word << " interior 0x"
+                        << want.interior;
+        }
+      }
+      checked += cuts.size();
+    }
+    EXPECT_EQ(mismatches, 0u) << subject.name();
+    total.cuts_kept += enumerator.stats().cuts_kept;
+    total.dfs_fallbacks += enumerator.stats().dfs_fallbacks;
+    for (const auto mode :
+         {TechMapOptions::Mode::kArea, TechMapOptions::Mode::kDelay}) {
+      TechMapOptions opts;
+      opts.mode = mode;
+      EXPECT_EQ(TechMap(subject, lib, opts).stats, enumerator.stats())
+          << subject.name();
+    }
+  }
+  // Every kept cut was checked, and the set exercises the DFS fallback.
+  EXPECT_EQ(checked, total.cuts_kept);
+  EXPECT_GT(total.dfs_fallbacks, 0u);
+}
+
+// The mapper's deterministic work counters on the largest Table-2 subject
+// graph: composition must cover nearly every cut, and cut sets must be held
+// only while live.
+TEST(TechMap, WorkCountersOnTheLargestTable2Circuit) {
+  const Library lib = Lsi10kLike();
+  const Network subject =
+      DecomposeToAndInv(
+          GenerateCircuit(PaperCircuitByName("sparc_ifu_ifqdp").spec))
+          .network;
+  for (const auto mode :
+       {TechMapOptions::Mode::kArea, TechMapOptions::Mode::kDelay}) {
+    TechMapOptions opts;
+    opts.mode = mode;
+    const TechMapStats s = TechMap(subject, lib, opts).stats;
+    EXPECT_EQ(subject.NumNodes(), 13922u);
+    EXPECT_EQ(s.cuts_kept, 164928u);
+    EXPECT_EQ(s.cuts_composed, 161087u);
+    EXPECT_EQ(s.dfs_fallbacks, 3841u);
+    EXPECT_EQ(s.peak_live_cut_sets, 816u);
+    EXPECT_EQ(s.cuts_kept, s.cuts_composed + s.dfs_fallbacks);
+    EXPECT_LE(20 * s.dfs_fallbacks, s.cuts_kept);
+    EXPECT_LE(10 * s.peak_live_cut_sets, subject.NumNodes());
+  }
+}
+
+// Each Library owns its match index. Libraries built one after another in
+// one scope reuse one address; a mapping must still use only the cells of
+// the library it was given.
+TEST(TechMap, LibrariesAtOneAddressKeepTheirOwnMatches) {
+  const Network net = GenerateCircuit(PaperCircuitByName("C432").spec);
+  TechMapOptions delay_opts;
+  delay_opts.mode = TechMapOptions::Mode::kDelay;
+  std::string blif[2][2];
+  for (int round = 0; round < 2; ++round) {
+    for (int which = 0; which < 2; ++which) {
+      const Library lib = which == 0 ? UnitLibrary() : Lsi10kLike();
+      for (int m = 0; m < 2; ++m) {
+        const TechMapResult r =
+            DecomposeAndMap(net, lib, m == 0 ? TechMapOptions{} : delay_opts);
+        for (GateId id = 0; id < r.netlist.NumElements(); ++id) {
+          if (r.netlist.IsInput(id)) continue;
+          const Cell& cell = r.netlist.cell(id);
+          ASSERT_EQ(lib.ByName(cell.name()), &cell) << lib.name();
+        }
+        ExpectMappedEquivalent(net, r.netlist);
+        const std::string text = WriteMappedBlifString(r.netlist);
+        if (round == 0) {
+          blif[which][m] = text;
+        } else {
+          EXPECT_EQ(text, blif[which][m]) << lib.name() << " mode " << m;
+        }
+      }
+    }
+  }
+}
+
+// One Library shared by two threads that map two Table-2 circuits in both
+// modes gives the netlists of sequential calls.
+TEST(TechMap, ThreadsShareOneLibrary) {
+  const Library lib = Lsi10kLike();
+  const Network nets[2] = {
+      GenerateCircuit(PaperCircuitByName("C2670").spec),
+      GenerateCircuit(PaperCircuitByName("sparc_ifu_dec").spec)};
+  TechMapOptions delay_opts;
+  delay_opts.mode = TechMapOptions::Mode::kDelay;
+  auto map_both = [&](const Network& net) {
+    return WriteMappedBlifString(DecomposeAndMap(net, lib).netlist) +
+           WriteMappedBlifString(
+               DecomposeAndMap(net, lib, delay_opts).netlist);
+  };
+  std::string sequential[2];
+  for (int i = 0; i < 2; ++i) sequential[i] = map_both(nets[i]);
+  std::string threaded[2];
+  {
+    std::thread t0([&] { threaded[0] = map_both(nets[0]); });
+    std::thread t1([&] { threaded[1] = map_both(nets[1]); });
+    t0.join();
+    t1.join();
+  }
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(threaded[i], sequential[i]) << nets[i].name();
   }
 }
 
