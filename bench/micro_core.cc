@@ -1,12 +1,17 @@
 // Micro benchmarks (google-benchmark) for the substrate hot paths: BDD
-// operations, ISOP extraction, technology mapping, STA, and the SPCF engine.
+// operations, ISOP extraction, technology mapping, STA, the SPCF engine,
+// and the MC trial engine with its pattern draws.
 #include <benchmark/benchmark.h>
 
 #include "boolean/isop.h"
+#include "harness/flow.h"
+#include "harness/yield.h"
 #include "liblib/lsi10k.h"
 #include "map/mapped_bdd.h"
 #include "map/tech_map.h"
 #include "network/decompose.h"
+#include "sim/batch_sim.h"
+#include "sim/lane_patterns.h"
 #include "spcf/spcf.h"
 #include "sta/sta.h"
 #include "suite/paper_suite.h"
@@ -108,6 +113,47 @@ void BM_SpcfShortPathC432(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpcfShortPathC432);
+
+// One 64-lane word of random next+previous pattern pairs at sparc_ifu_dec's
+// input count, the classification draws of MC yield and fault injection.
+void BM_LanePatternsDraw(benchmark::State& state) {
+  const std::size_t inputs =
+      GenerateCircuit(PaperCircuitByName("sparc_ifu_dec").spec).NumInputs();
+  LanePatterns patterns(inputs);
+  Rng rng(1);
+  for (auto _ : state) {
+    patterns.Start(0);
+    for (int lane = 0; lane < kBatchLanes; ++lane) {
+      patterns.DrawNext(rng, 0, lane);
+      patterns.DrawPrevious(rng, 0, lane);
+    }
+    patterns.Finish(0);
+    benchmark::DoNotOptimize(patterns.next(0).data());
+    benchmark::DoNotOptimize(patterns.previous(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatchLanes);
+}
+BENCHMARK(BM_LanePatternsDraw);
+
+// The MC yield engine end to end on C432's masking flow: 500 trials on one
+// thread (sampling, max-arrival STA, escape scan, pattern draws, batched
+// classification simulation). The engine runs on a pool thread, so the
+// benchmark reports wall time.
+void BM_TimingYieldMcC432(benchmark::State& state) {
+  const Library lib = Lsi10kLike();
+  const FlowResult flow =
+      RunMaskingFlow(GenerateCircuit(PaperCircuitByName("C432").spec), lib);
+  YieldMcOptions options;
+  options.trials = 500;
+  options.threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateTimingYield(flow, options));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(options.trials));
+}
+BENCHMARK(BM_TimingYieldMcC432)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace sm

@@ -17,10 +17,9 @@ void LanePatterns::Start(std::size_t w) {
 
 void LanePatterns::SetNext(std::size_t w, int lane,
                            const std::vector<bool>& bits) {
-  const std::uint64_t bit = std::uint64_t{1} << lane;
   std::vector<std::uint64_t>& word = next_[w];
   for (std::size_t v = 0; v < num_inputs_; ++v) {
-    if (bits[v]) word[v] |= bit;
+    word[v] |= std::uint64_t{bits[v]} << lane;
   }
 }
 

@@ -6,9 +6,12 @@
 // Generators write one lane at a time, consuming their RNG in exactly the
 // order a per-lane std::vector<bool> generator would, so a pattern stream is
 // the same whether it lands in a 64-lane word or in a single lane that is
-// then unpacked for the scalar engine. Words are kept across Start calls, so
-// a worker that reuses one LanePatterns allocates only while its word count
-// grows.
+// then unpacked for the scalar engine. A drawn bit is the complement of the
+// top bit of one rng.Next(): rng.Chance(0.5) is Uniform() < 0.5, that is
+// (Next() >> 11) · 2^-53 < 0.5, which holds exactly when bit 63 is clear. So
+// a lane word equals the plain rng.Chance(0.5) bit vectors, without a branch
+// or a conversion per bit. Words are kept across Start calls, so a worker
+// that reuses one LanePatterns allocates only while its word count grows.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +30,9 @@ class LanePatterns {
   // written into it.
   void Start(std::size_t w);
 
-  // next(w) lane bits drawn with one rng.Chance(0.5) per input, in input
-  // order; DrawPrevious likewise for previous(w).
+  // next(w) lane bits drawn with one rng.Next() per input, in input order,
+  // each bit equal to that draw's rng.Chance(0.5); DrawPrevious likewise for
+  // previous(w).
   void DrawNext(Rng& rng, std::size_t w, int lane) {
     DrawInto(rng, next_[w], lane);
   }
@@ -58,10 +62,7 @@ class LanePatterns {
 
  private:
   static void DrawInto(Rng& rng, std::vector<std::uint64_t>& word, int lane) {
-    const std::uint64_t bit = std::uint64_t{1} << lane;
-    for (std::uint64_t& v : word) {
-      if (rng.Chance(0.5)) v |= bit;
-    }
+    for (std::uint64_t& v : word) v |= ((rng.Next() >> 63) ^ 1) << lane;
   }
 
   std::size_t num_inputs_;

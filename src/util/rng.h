@@ -48,17 +48,17 @@ class Rng {
   // Uniform double in [0, 1): the 53 high bits of one draw.
   double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
-  // Bernoulli with probability p. Inline: pattern generation draws one per
-  // input bit.
+  // Bernoulli with probability p. Chance(0.5) holds exactly when bit 63 of
+  // the draw is clear; LanePatterns draws pattern bits from that identity.
   bool Chance(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return Uniform() < p;
   }
 
-  // Standard normal N(0, 1) via Box–Muller (no cached spare, so the number
-  // of uniforms consumed per call is fixed — required for counter-based
-  // stream reproducibility).
+  // Standard normal N(0, 1) via Box–Muller (no cached spare, so every call
+  // consumes exactly two Next() draws — required for counter-based stream
+  // reproducibility).
   double Normal();
 
   // Fisher–Yates shuffle.

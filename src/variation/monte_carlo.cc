@@ -25,6 +25,9 @@ constexpr double kEps = 1e-9;
 // constant keeps the two families disjoint for any realistic trial count.
 constexpr std::uint64_t kClassifyStreamOffset = 0x9e3779b97f4a7c15ULL;
 
+// A late output's path head not yet walked in the current trial.
+constexpr int kHeadUnknown = -2;
+
 struct TrialOutcome {
   bool violates_original = false;
   bool violates_protected = false;
@@ -227,6 +230,10 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
     std::vector<double> planes;
     std::vector<std::size_t> pending;  // their trial indices
     std::vector<std::size_t> late_outputs;
+    // Parallel to late_outputs: the input index at the head of each late
+    // output's worst path under the trial's delays (-1 for a tie-cell
+    // head), kHeadUnknown until a targeted transition first needs it.
+    std::vector<int> heads;
     // Classification pattern pairs: transition j of pending trial k is lane
     // (k * transitions + j) of the flattened word sequence.
     LanePatterns patterns;
@@ -294,6 +301,7 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
       }
     }
     out.scan_truncated = scanner.truncated;
+    w.heads.assign(w.late_outputs.size(), kHeadUnknown);
     return transitions > 0;
   };
 
@@ -307,13 +315,17 @@ YieldMcResult RunTimingYieldMc(const MappedNetlist& original,
                                    int i, std::size_t word, int lane) {
     w.patterns.DrawNext(rng, word, lane);
     if (i % 2 == 0 && !w.late_outputs.empty()) {
-      const std::size_t oi =
-          w.late_outputs[static_cast<std::size_t>(i / 2) %
-                         w.late_outputs.size()];
-      const GateId head = TrialPathHead(prot, w.arrival.data(), scale,
-                                        protected_drivers[oi]);
-      w.patterns.CopyNext(word, lane,
-                          head == kInvalidGate ? -1 : input_index[head]);
+      // The arrivals and scales are the trial's own, so each late output's
+      // path head is walked once per trial, whichever transition asks first.
+      const std::size_t k =
+          static_cast<std::size_t>(i / 2) % w.late_outputs.size();
+      int& head = w.heads[k];
+      if (head == kHeadUnknown) {
+        const GateId g = TrialPathHead(prot, w.arrival.data(), scale,
+                                       protected_drivers[w.late_outputs[k]]);
+        head = g == kInvalidGate ? -1 : input_index[g];
+      }
+      w.patterns.CopyNext(word, lane, head);
     } else {
       w.patterns.DrawPrevious(rng, word, lane);
     }

@@ -120,7 +120,8 @@ double DelayScaleSampler::SampleShiftedInto(
 
   // Shared components are drawn first with a fixed count, so the per-gate
   // draws that follow stay aligned across model kinds and shift choices.
-  // Only the spatial model keeps them.
+  // Only the spatial model keeps them; the others skip the two draws each
+  // rng.Normal() would consume instead of computing a normal to discard.
   double inline_components[kInlineComponents] = {};
   std::vector<double> heap_components;
   double* components = inline_components;
@@ -129,8 +130,12 @@ double DelayScaleSampler::SampleShiftedInto(
     components = heap_components.data();
   }
   for (std::size_t k = 0; k < k_count; ++k) {
-    const double c = rng.Normal();
-    if (spatial) components[k] = c;
+    if (spatial) {
+      components[k] = rng.Normal();
+    } else {
+      rng.Next();
+      rng.Next();
+    }
   }
 
   const double rho = spatial ? model_.correlation_fraction : 0.0;

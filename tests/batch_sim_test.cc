@@ -262,34 +262,31 @@ TEST(BatchSim, ValidatesConfig) {
   EXPECT_THROW(engine.Run(w, w, cfg), std::invalid_argument);
 }
 
-// The engines' scalar paths unpack one lane of the same generator, so the
-// scalar-vs-batched tests cannot see a generator bug; this checks every lane
-// against pattern pairs built the plain way, one std::vector<bool> per
-// pattern from the same Chance sequence.
-TEST(LanePatterns, LanesMatchPlainBitVectorPairs) {
-  constexpr std::size_t kInputs = 37;
-  LanePatterns patterns(kInputs);
-  std::vector<bool> sensitized(kInputs);
-  for (std::size_t v = 0; v < kInputs; ++v) sensitized[v] = v % 3 == 0;
-  for (const std::size_t w : {std::size_t{2}, std::size_t{0}}) {
+// Draws words 2, 0 and 5 of `inputs`-input pattern pairs, one lane of each
+// kind at a time, and compares every lane with the plain bit vectors.
+void CheckLanesAgainstBitVectors(std::size_t inputs) {
+  LanePatterns patterns(inputs);
+  std::vector<bool> sensitized(inputs);
+  for (std::size_t v = 0; v < inputs; ++v) sensitized[v] = v % 3 == 0;
+  for (const std::size_t w : {std::size_t{2}, std::size_t{0}, std::size_t{5}}) {
     patterns.Start(w);
     std::vector<std::vector<bool>> want_prev, want_next;
     for (int lane = 0; lane < kBatchLanes; ++lane) {
       const std::uint64_t stream = w * kBatchLanes + lane;
       Rng rng = Rng::ForStream(9, stream);
       Rng ref = Rng::ForStream(9, stream);
-      std::vector<bool> next(kInputs), prev(kInputs);
+      std::vector<bool> next(inputs), prev(inputs);
       const int flip =
-          lane % 5 == 4 ? -1 : (lane * 7) % static_cast<int>(kInputs);
+          lane % 5 == 4 ? -1 : (lane * 7) % static_cast<int>(inputs);
       switch (lane % 3) {
         case 0:  // random pair
-          for (std::size_t v = 0; v < kInputs; ++v) next[v] = ref.Chance(0.5);
-          for (std::size_t v = 0; v < kInputs; ++v) prev[v] = ref.Chance(0.5);
+          for (std::size_t v = 0; v < inputs; ++v) next[v] = ref.Chance(0.5);
+          for (std::size_t v = 0; v < inputs; ++v) prev[v] = ref.Chance(0.5);
           patterns.DrawNext(rng, w, lane);
           patterns.DrawPrevious(rng, w, lane);
           break;
         case 1:  // targeted: next with one input flipped, copy marked first
-          for (std::size_t v = 0; v < kInputs; ++v) next[v] = ref.Chance(0.5);
+          for (std::size_t v = 0; v < inputs; ++v) next[v] = ref.Chance(0.5);
           prev = next;
           if (flip >= 0) prev[static_cast<std::size_t>(flip)].flip();
           patterns.CopyNext(w, lane, flip);
@@ -314,6 +311,18 @@ TEST(LanePatterns, LanesMatchPlainBitVectorPairs) {
       EXPECT_EQ(LanePatterns::Unpack(patterns.previous(w), lane), want_prev[l])
           << "word " << w << " lane " << lane;
     }
+  }
+}
+
+// The engines' scalar paths unpack one lane of the same generator, so the
+// scalar-vs-batched tests cannot see a generator bug; this checks every lane
+// against pattern pairs built the plain way, one std::vector<bool> per
+// pattern from the same Chance sequence, at input counts around the 64-bit
+// word size and in words past the first.
+TEST(LanePatterns, LanesMatchPlainBitVectorPairs) {
+  for (const std::size_t inputs : {1, 37, 63, 64, 65, 200}) {
+    SCOPED_TRACE(inputs);
+    CheckLanesAgainstBitVectors(inputs);
   }
 }
 

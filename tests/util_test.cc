@@ -83,6 +83,19 @@ TEST(Rng, UniformInUnitInterval) {
   }
 }
 
+// LanePatterns draws each pattern bit as the complement of the top bit of
+// one Next(); this is the identity with Chance(0.5) it relies on.
+TEST(Rng, FairChanceIsTheClearTopBit) {
+  for (const std::uint64_t seed : {1ull, 0x5eedull, 0xfeedfacecafebeefull}) {
+    Rng chance(seed);
+    Rng next(seed);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(chance.Chance(0.5), (next.Next() >> 63) == 0)
+          << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
 TEST(Rng, SampleDistinctSorted) {
   Rng r(11);
   const auto s = r.Sample(100, 10);

@@ -1,9 +1,12 @@
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -187,6 +190,56 @@ TEST_F(VariationEngineTest, ShiftedSamplingReportsLikelihoodRatios) {
     sum_biased += biased.scale[i];
   }
   EXPECT_GT(sum_biased, sum_plain);
+}
+
+// Digests of sampled delay planes and likelihood ratios for every model kind,
+// unshifted and shifted, recorded from a sampler that computed and discarded
+// the shared-component normals in the non-spatial models. The 20-component
+// spatial model takes the heap component buffer. A change to the draws that
+// moves one bit of one scale or log weight fails the comparison.
+TEST_F(VariationEngineTest, SampledPlanesMatchThePins) {
+  const MappedNetlist& net = flow_->protected_circuit.netlist;
+  std::vector<double> shift(net.NumElements(), 0.0);
+  for (GateId id = 0; id < net.NumElements(); ++id) {
+    if (!net.IsInput(id) && id % 3 != 0) shift[id] = 0.25;
+  }
+  VariationModel gauss;
+  gauss.sigma = 0.1;
+  VariationModel spatial = gauss;
+  spatial.kind = VariationModelKind::kSpatiallyCorrelated;
+  VariationModel wide = spatial;
+  wide.num_components = 20;
+  VariationModel aging = gauss;
+  aging.kind = VariationModelKind::kAgingDrift;
+  aging.aging_level = 0.15;
+  const std::pair<const char*, VariationModel> models[] = {
+      {"gauss", gauss}, {"spatial", spatial}, {"spatial20", wide},
+      {"aging", aging}};
+  static const char* const kPins[4][2] = {
+      {"8118e90c4b3c94c1", "e4c8a52f82d78f9f"},
+      {"bcbb8d9a6c983543", "0312bde7e30d2d4e"},
+      {"b9af6b14ffb2196a", "07b43cecaf33611d"},
+      {"1e5a29f4873ba037", "2f72c417c76ed75f"}};
+  for (std::size_t m = 0; m < std::size(models); ++m) {
+    const DelayScaleSampler sampler(net, models[m].second);
+    for (int shifted = 0; shifted < 2; ++shifted) {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      const auto fold = [&h](double x) {
+        h = (h ^ std::bit_cast<std::uint64_t>(x)) * 0x100000001b3ULL;
+      };
+      for (std::uint64_t trial = 0; trial < 50; ++trial) {
+        const ShiftedSample s = sampler.SampleShifted(
+            2024, trial, shifted != 0 ? shift : std::vector<double>{});
+        for (const double x : s.scale) fold(x);
+        fold(s.log_weight);
+      }
+      char digest[32];
+      std::snprintf(digest, sizeof(digest), "%016llx",
+                    static_cast<unsigned long long>(h));
+      EXPECT_EQ(std::string(digest), kPins[m][shifted])
+          << models[m].first << (shifted != 0 ? " shifted" : " unshifted");
+    }
+  }
 }
 
 TEST_F(VariationEngineTest, RejectsAProtectedCircuitThatDoesNotCopyC) {
