@@ -1,12 +1,11 @@
-// Chaos-injection soak for the sharded analysis fleet (src/fleet over
-// src/service, faults injected by service/chaos.h proxies).
+// Chaos-injection soak for the analysis daemon (src/service, faults
+// injected by a service/chaos.h proxy).
 //
-// Topology: two in-process shard daemons, each reached only through its own
-// deterministic fault-injecting ChaosProxy, with a FleetRouter over the two
-// proxy addresses. Clients talk to the router with a read timeout; the
-// router talks to the (proxied) shards with a read timeout. Mid-stream, the
-// harness kills shard 0 outright and restarts it — on top of the proxies'
-// frame drops, delays, truncations, corruptions and disconnects.
+// Topology: client -> ChaosProxy -> one in-process daemon. The client talks
+// to the deterministic fault-injecting proxy with a read timeout; the
+// daemon is reachable only through it. Mid-stream, the harness kills the
+// daemon outright and restarts it on the same socket — on top of the
+// proxy's frame drops, delays, truncations, corruptions and disconnects.
 //
 // Gates (stdout PASS/FAIL, non-zero exit on any failure):
 //
@@ -16,7 +15,7 @@
 //      read is bounded), no untyped errors, no exhausted retry budgets.
 //   2. byte identity — every ok outcome's result bytes are identical to the
 //      calm run (same requests against an unproxied daemon).
-//   3. faults actually injected — the proxies report a non-zero fault count
+//   3. faults actually injected — the proxy reports a non-zero fault count
 //      and the kill/restart really happened; a soak that tested nothing
 //      does not pass.
 //   4. deadline wedge gate — a slow request with a 100 ms deadline against
@@ -28,8 +27,8 @@
 //      bound (the worker grinds to completion, wedged for the full compute
 //      time). This proves the gate actually detects the wedge it claims to.
 //   6. post-soak health — after the stream drains, a stats round trip to
-//      every shard daemon (direct, bypassing the proxies) completes in
-//      under 1 second total: no worker is left wedged or leaking.
+//      the daemon (direct, bypassing the proxy) completes in under 1
+//      second: no worker is left wedged or leaking.
 //
 // Usage: chaos_soak [--smoke] [--json=PATH]   (--json=BENCH_chaos.json in CI)
 #include <unistd.h>
@@ -43,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/router.h"
 #include "harness/bench_runner.h"
 #include "service/chaos.h"
 #include "service/client.h"
@@ -53,6 +51,10 @@
 
 namespace sm {
 namespace {
+
+// Client read timeout through the proxy: a dropped frame costs one timeout
+// and a retry. Every request of the set computes in well under this, cold.
+constexpr int kReadTimeoutMs = 1'500;
 
 std::string SockPath(const std::string& tag) {
   return "/tmp/speedmask_chaos_" + std::to_string(::getpid()) + "_" + tag +
@@ -87,11 +89,11 @@ struct Outcome {
   int attempts = 0;
 };
 
-// Drives one request to a terminal outcome through the router, reconnecting
-// on transport errors and backing off on retryable typed errors. The client
-// read timeout bounds every blocking read, so a lost frame costs one
-// timeout, never a hang.
-Outcome DriveRequest(const std::string& router_address,
+// Drives one request to a terminal outcome through the proxy, reconnecting
+// on transport errors and backing off on those and on retryable typed
+// errors. The client read timeout bounds every blocking read, so a lost
+// frame costs one timeout, never a hang.
+Outcome DriveRequest(const std::string& address,
                      const ServiceRequest& request,
                      const std::string& expected_bytes,
                      std::unique_ptr<ServiceClient>* client) {
@@ -103,13 +105,14 @@ Outcome DriveRequest(const std::string& router_address,
     try {
       if (*client == nullptr) {
         *client = std::make_unique<ServiceClient>(
-            router_address, ClientOptions{/*read_timeout_ms=*/10'000});
+            address, ClientOptions{kReadTimeoutMs});
       }
       response = (*client)->Call(request);
     } catch (const std::exception&) {
-      // Severed / timed-out / corrupted transport: fresh connection, retry.
+      // Severed / timed-out / corrupted transport, or the daemon is down
+      // mid-restart: fresh connection, retry.
       client->reset();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
       continue;
     }
     if (response.ok()) {
@@ -145,8 +148,8 @@ struct SoakReport {
   bool identity_ok = false;
   bool faults_ok = false;
   double stream_seconds = 0;
-  ChaosCounters chaos0, chaos1;
-  std::string router_stats_json;
+  ChaosCounters chaos;
+  std::string server_stats_json;
   double post_stats_seconds = 0;
   bool post_stats_ok = false;
 };
@@ -156,24 +159,19 @@ SoakReport RunChaosStream(bool smoke,
                           const std::vector<std::string>& expected) {
   SoakReport rep;
 
-  // Shards: real daemons on private sockets, 1 worker each (the soak runs
-  // on CI-sized hosts; chaos coverage, not throughput, is the point).
-  ServerOptions shard_options;
-  shard_options.num_workers = 1;
-  shard_options.queue_capacity = 16;
-  const std::string shard0_addr = SockPath("shard0");
-  const std::string shard1_addr = SockPath("shard1");
-  shard_options.listen_address = shard0_addr;
-  auto shard0 = std::make_unique<SpeedmaskServer>(shard_options);
-  shard0->Start();
-  shard_options.listen_address = shard1_addr;
-  auto shard1 = std::make_unique<SpeedmaskServer>(shard_options);
-  shard1->Start();
+  // The daemon: private socket, 1 worker (the soak runs on CI-sized hosts;
+  // chaos coverage, not throughput, is the point).
+  ServerOptions server_options;
+  server_options.listen_address = SockPath("daemon");
+  server_options.num_workers = 1;
+  server_options.queue_capacity = 16;
+  auto server = std::make_unique<SpeedmaskServer>(server_options);
+  server->Start();
 
-  // One fault-injecting proxy per shard. Probabilities are per frame and
-  // deliberately modest: each request crosses the proxy twice (request +
-  // response), the stream crosses hundreds of frames, so every fault kind
-  // fires multiple times per soak (counters are gated below).
+  // Probabilities are per frame and deliberately modest: each request
+  // crosses the proxy twice (request + response), the stream crosses
+  // hundreds of frames, so every fault kind fires multiple times per soak
+  // (counters are gated below).
   ChaosOptions chaos_options;
   chaos_options.seed = 20260809;
   chaos_options.drop_probability = 0.02;
@@ -182,52 +180,32 @@ SoakReport RunChaosStream(bool smoke,
   chaos_options.corrupt_probability = 0.02;
   chaos_options.disconnect_probability = 0.02;
   chaos_options.delay_ms = 15;
-  chaos_options.listen_address = SockPath("proxy0");
-  chaos_options.backend_address = shard0_addr;
-  ChaosProxy proxy0(chaos_options);
-  proxy0.Start();
-  chaos_options.listen_address = SockPath("proxy1");
-  chaos_options.backend_address = shard1_addr;
-  chaos_options.seed = 20260810;  // independent schedule per proxy
-  ChaosProxy proxy1(chaos_options);
-  proxy1.Start();
-
-  RouterOptions router_options;
-  router_options.listen_address = SockPath("router");
-  router_options.shards = {proxy0.address(), proxy1.address()};
-  // Bounds the router's upstream reads: a dropped response frame costs one
-  // timeout and a failover instead of wedging the client connection.
-  router_options.shard_read_timeout_ms = 1500;
-  FleetRouter router(router_options);
-  router.Start();
+  chaos_options.listen_address = SockPath("proxy");
+  chaos_options.backend_address = server_options.listen_address;
+  ChaosProxy proxy(chaos_options);
+  proxy.Start();
 
   const std::size_t stream_len = smoke ? 36 : 120;
   rep.stream_len = stream_len;
 
-  // Kill/restart controller: partway through the stream, shard 0 goes away
-  // entirely (drain + destroy), stays dead briefly, then a fresh daemon
-  // rebinds the same socket. The proxy bridges per connection, so new
-  // exchanges reach the new daemon; the router must failover while it is
-  // dead and re-adopt it after the probe.
+  // Kill/restart controller: partway through the stream, the daemon goes
+  // away entirely (drain + destroy), stays dead briefly, then a fresh
+  // daemon rebinds the same socket. The proxy bridges per connection, so
+  // while the daemon is dead it refuses every bridge and the client's
+  // retries see closed connections; new exchanges after the restart reach
+  // the new daemon.
   std::atomic<std::size_t> stream_pos{0};
   std::atomic<bool> stream_done{false};
   std::thread killer([&] {
     while (stream_pos.load() < stream_len / 3 && !stream_done.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    shard0->Shutdown();
-    shard0->Wait();
-    shard0.reset();
+    server->Shutdown();
+    server->Wait();
+    server.reset();
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    shard_options.listen_address = shard0_addr;
-    shard0 = std::make_unique<SpeedmaskServer>(shard_options);
-    shard0->Start();
-    // Re-adopt: the router marked the shard unhealthy while it was dead; a
-    // successful probe (through the chaotic proxy, so it may take a few
-    // tries) puts it back in the ring.
-    for (int i = 0; i < 50 && !router.ProbeShard(0); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+    server = std::make_unique<SpeedmaskServer>(server_options);
+    server->Start();
     rep.restart_done = true;
   });
 
@@ -236,8 +214,7 @@ SoakReport RunChaosStream(bool smoke,
   for (std::size_t i = 0; i < stream_len; ++i) {
     const std::size_t u = i % unique_requests.size();
     const Outcome out =
-        DriveRequest(router.address(), unique_requests[u], expected[u],
-                     &client);
+        DriveRequest(proxy.address(), unique_requests[u], expected[u], &client);
     rep.attempts_total += static_cast<std::uint64_t>(out.attempts);
     switch (out.kind) {
       case Outcome::kOk:
@@ -258,40 +235,33 @@ SoakReport RunChaosStream(bool smoke,
   killer.join();
   client.reset();
 
-  rep.chaos0 = proxy0.SnapshotCounters();
-  rep.chaos1 = proxy1.SnapshotCounters();
-  rep.router_stats_json = router.AggregateStatsJson();
+  rep.chaos = proxy.SnapshotCounters();
 
   rep.terminal_ok = rep.no_terminal == 0;
   rep.identity_ok = rep.byte_mismatches == 0 && rep.ok_outcomes > 0;
-  rep.faults_ok =
-      rep.chaos0.faults() + rep.chaos1.faults() > 0 && rep.restart_done;
+  rep.faults_ok = rep.chaos.faults() > 0 && rep.restart_done;
 
-  // Gate 6: direct stats round trip to both daemons, bypassing the proxies.
+  // Gate 6: direct stats round trip to the daemon, bypassing the proxy.
   // Fast and ok ⇔ no worker is wedged on abandoned chaos work.
   {
     WallTimer timer;
-    bool ok = true;
-    for (const std::string& addr : {shard0_addr, shard1_addr}) {
-      try {
-        ServiceClient direct(addr, ClientOptions{/*read_timeout_ms=*/2'000});
-        ok = ok && direct.Stats().ok();
-      } catch (const std::exception&) {
-        ok = false;
-      }
+    bool ok = false;
+    try {
+      ServiceClient direct(server_options.listen_address,
+                           ClientOptions{/*read_timeout_ms=*/2'000});
+      const ServiceResponse stats = direct.Stats();
+      ok = stats.ok();
+      rep.server_stats_json = stats.result_json;
+    } catch (const std::exception&) {
+      ok = false;
     }
     rep.post_stats_seconds = timer.Seconds();
     rep.post_stats_ok = ok && rep.post_stats_seconds < 1.0;
   }
 
-  router.Shutdown();
-  router.Wait();
-  proxy0.Shutdown();
-  proxy1.Shutdown();
-  shard0->Shutdown();
-  shard1->Shutdown();
-  shard0->Wait();
-  shard1->Wait();
+  proxy.Shutdown();
+  server->Shutdown();
+  server->Wait();
   return rep;
 }
 
@@ -399,8 +369,8 @@ int Main(int argc, char** argv) {
 
   // Calm run: the same request set against an unproxied daemon produces the
   // expected bytes every chaos-run success must match (results are
-  // deterministic cold/warm/cached, so one calm daemon is the oracle for
-  // every shard).
+  // deterministic cold/warm/cached, so the calm daemon is the oracle for
+  // the restarted one too).
   const std::vector<ServiceRequest> unique_requests = BuildRequestSet();
   std::vector<std::string> expected;
   {
@@ -442,7 +412,7 @@ int Main(int argc, char** argv) {
             << (soak.terminal_ok ? "PASS" : "FAIL") << "\n"
             << "ok-outcome byte identity vs calm run            : "
             << (soak.identity_ok ? "PASS" : "FAIL") << "\n"
-            << "faults injected + shard kill/restart            : "
+            << "faults injected + daemon kill/restart           : "
             << (soak.faults_ok ? "PASS" : "FAIL") << "\n"
             << "post-soak stats round trip < 1 s                : "
             << (soak.post_stats_ok ? "PASS" : "FAIL") << "\n"
@@ -454,8 +424,7 @@ int Main(int argc, char** argv) {
   std::cerr << "stream: " << soak.stream_seconds << " s, "
             << soak.attempts_total << " attempts for " << soak.stream_len
             << " requests\n"
-            << "chaos faults: proxy0 " << soak.chaos0.faults() << ", proxy1 "
-            << soak.chaos1.faults() << "\n"
+            << "chaos faults: " << soak.chaos.faults() << "\n"
             << "deadline probe (on):  full " << with_cancel.full_compute_ms
             << " ms, aborted in " << with_cancel.probe_ms << " ms (bound "
             << with_cancel.wedge_bound_ms << " ms), code="
@@ -484,12 +453,13 @@ int Main(int argc, char** argv) {
     doc.Set("faults_ok", soak.faults_ok);
     doc.Set("post_stats_seconds", soak.post_stats_seconds);
     doc.Set("post_stats_ok", soak.post_stats_ok);
-    doc.Set("chaos_proxy0", ToJson(soak.chaos0));
-    doc.Set("chaos_proxy1", ToJson(soak.chaos1));
+    doc.Set("chaos_proxy", ToJson(soak.chaos));
     doc.Set("deadline_probe_cancellation_on", ToJson(with_cancel));
     doc.Set("deadline_probe_cancellation_off", ToJson(planted));
     doc.Set("regression_detected", regression_detected);
-    doc.Set("router_stats", Json::Parse(soak.router_stats_json));
+    if (!soak.server_stats_json.empty()) {
+      doc.Set("server_stats", Json::Parse(soak.server_stats_json));
+    }
     doc.Set("ok", all_ok);
     std::ofstream out(opts.json_path);
     if (!out) {

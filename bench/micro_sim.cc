@@ -8,9 +8,11 @@
 //   batched — 64 trials per BatchEventSim::Run, each lane under its own
 //             delay plane.
 // Every trial is cross-checked lane-against-scalar (sampled/settled bits,
-// settle times, event counts — full bit-identity, not a spot check). Both
-// passes are timed best-of-kTimingReps to damp scheduler noise, and the
-// benchmark FAILS unless the batched engine sustains kMinSpeedupFloor x
+// settle times, event counts — full bit-identity, not a spot check). Each
+// side is repeated at least kTimingReps times and until its repetitions add
+// up to kMinTimedSeconds, and the fastest repetition is kept: a smoke rep
+// on a small circuit takes under a millisecond, too short for one sample
+// to shrug off other load on the host. The benchmark FAILS unless the batched engine sustains kMinSpeedupFloor x
 // scalar trial throughput on every circuit AND kMinSpeedup x on at least
 // kMinFastCircuits of them (the paper-table acceptance bar).
 //
@@ -45,6 +47,7 @@ constexpr double kMinSpeedup = 8.0;
 constexpr double kMinSpeedupFloor = 4.0;
 constexpr int kMinFastCircuits = 2;
 constexpr int kTimingReps = 3;
+constexpr double kMinTimedSeconds = 0.05;
 
 struct Trial {
   std::vector<bool> previous;
@@ -118,7 +121,8 @@ Row RunCircuit(const PaperCircuitInfo& info, const Library& lib,
   // oracle results and event totals, later ones only refine the clock.
   std::vector<EventSimResult> scalar(trial_count);
   row.scalar_seconds = 0;
-  for (int rep = 0; rep < kTimingReps; ++rep) {
+  double timed = 0;
+  for (int rep = 0; rep < kTimingReps || timed < kMinTimedSeconds; ++rep) {
     WallTimer scalar_timer;
     for (std::size_t t = 0; t < trial_count; ++t) {
       EventSimConfig cfg;
@@ -132,6 +136,7 @@ Row RunCircuit(const PaperCircuitInfo& info, const Library& lib,
       }
     }
     const double seconds = scalar_timer.Seconds();
+    timed += seconds;
     if (rep == 0 || seconds < row.scalar_seconds) {
       row.scalar_seconds = seconds;
     }
@@ -146,7 +151,8 @@ Row RunCircuit(const PaperCircuitInfo& info, const Library& lib,
   std::vector<std::uint64_t> prev_words(mapped.NumInputs());
   std::vector<std::uint64_t> next_words(mapped.NumInputs());
   row.batched_seconds = 0;
-  for (int rep = 0; rep < kTimingReps; ++rep) {
+  timed = 0;
+  for (int rep = 0; rep < kTimingReps || timed < kMinTimedSeconds; ++rep) {
     double rep_seconds = 0;
     double rep_pack = 0;
     for (std::size_t lo = 0; lo < trial_count; lo += kBatchLanes) {
@@ -185,6 +191,7 @@ Row RunCircuit(const PaperCircuitInfo& info, const Library& lib,
         row.identical = row.identical && same;
       }
     }
+    timed += rep_seconds;
     if (rep == 0 || rep_seconds < row.batched_seconds) {
       row.batched_seconds = rep_seconds;
       row.pack_seconds = rep_pack;

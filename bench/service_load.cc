@@ -15,14 +15,6 @@
 //      the accepted request still completes.
 //   4. graceful shutdown — the shutdown request is acknowledged only after
 //      accepted work drained, and the daemon exits cleanly.
-//   5. sharded fleet (src/fleet) — byte identity across shard counts: the
-//      same request set through a 1-, 2- and 4-shard fleet's router, and
-//      direct to a shard bypassing the router, must all produce bytes
-//      identical to each other; a graceful rolling restart of every shard
-//      under a live request stream must drop or duplicate nothing; and
-//      cold-compute throughput must scale near-linearly with shard count
-//      (>= 1.7x at 2 shards, >= 3x at 4 — gated only when the host has
-//      enough cores; the identity and restart gates always apply).
 //
 // Usage: service_load [--smoke] [--threads=N] [--json=PATH]
 //
@@ -34,12 +26,10 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fleet/fleet.h"
 #include "harness/bench_runner.h"
 #include "service/client.h"
 #include "service/json.h"
@@ -176,179 +166,6 @@ bool RunOverloadProbe(bool smoke, Json* report) {
   return ok;
 }
 
-// ---- Phase 5 helpers: sharded fleet --------------------------------------
-
-std::unique_ptr<SpeedmaskFleet> StartFleet(int num_shards, int workers,
-                                           const std::string& tag) {
-  FleetOptions fo;
-  fo.listen_address = "/tmp/speedmask_load_fleet_" +
-                      std::to_string(::getpid()) + "_" + tag + ".sock";
-  fo.num_shards = num_shards;
-  fo.shard_options.num_workers = workers;
-  auto fleet = std::make_unique<SpeedmaskFleet>(std::move(fo));
-  fleet->Start();
-  return fleet;
-}
-
-// Cold-compute throughput through the router: `clients` concurrent
-// connections each run the request set once with a client-unique guard, so
-// every request is a cache miss and the compute spreads over the shards by
-// circuit. Returns requests per second.
-double MeasureColdThroughput(const std::string& address,
-                             const std::vector<ServiceRequest>& base,
-                             int clients) {
-  WallTimer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<ServiceRequest> mine = base;
-      for (ServiceRequest& r : mine) r.guard += 1e-4 * (c + 1);
-      RunSequence(address, mine, nullptr);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double seconds = timer.Seconds();
-  const double total = static_cast<double>(base.size()) * clients;
-  return seconds > 0 ? total / seconds : 0;
-}
-
-struct FleetReport {
-  bool identity_ok = false;
-  bool restart_ok = false;
-  std::size_t restart_sent = 0;
-  std::size_t restart_answered_ok = 0;
-  double tput1 = 0, tput2 = 0, tput4 = 0;
-  double scale2 = 0, scale4 = 0;
-  bool scale2_gated = false, scale4_gated = false;
-  bool scale2_ok = true, scale4_ok = true;  // true when waived
-};
-
-FleetReport RunFleetPhase(bool smoke) {
-  FleetReport rep;
-  const unsigned cores = std::thread::hardware_concurrency();
-
-  // Cheap identity set: SPCF analyses only (the heavyweight methods are
-  // covered by the single-daemon phases; here the hop count is the point).
-  std::vector<ServiceRequest> identity;
-  for (const ServiceRequest& r : BuildRequestSet(smoke, 0.19)) {
-    if (r.method == ServiceMethod::kAnalyzeSpcf) identity.push_back(r);
-  }
-
-  // Compute-bound set for throughput scaling: one Monte-Carlo yield
-  // estimate per circuit (distinct circuits shard independently).
-  std::vector<ServiceRequest> yield_set;
-  for (const ServiceRequest& base : identity) {
-    ServiceRequest r;
-    r.method = ServiceMethod::kEstimateYield;
-    r.circuit_name = base.circuit_name;
-    r.guard = 0.21;
-    r.trials = smoke ? 4000 : 20000;
-    yield_set.push_back(r);
-  }
-
-  // ---- Identity: 1 vs 2 vs 4 shards, router vs direct-to-shard ----------
-  std::vector<std::string> reference;
-  {
-    bool ok = true;
-    for (const int shards : {1, 2, 4}) {
-      auto fleet = StartFleet(shards, /*workers=*/1,
-                              "id" + std::to_string(shards));
-      const std::vector<std::string> via_router =
-          RunSequence(fleet->address(), identity, nullptr);
-      if (reference.empty()) reference = via_router;
-      ok = ok && via_router == reference;
-      if (shards == 2) {
-        // Bypassing the router: any shard computes (or replays) the same
-        // bytes — the determinism contract is per request, not per shard.
-        ok = ok &&
-             RunSequence(fleet->shard_address(0), identity, nullptr) ==
-                 reference &&
-             RunSequence(fleet->shard_address(1), identity, nullptr) ==
-                 reference;
-      }
-      fleet->Shutdown();
-    }
-    rep.identity_ok = ok && !reference.empty();
-  }
-
-  // ---- Graceful rolling restart under live load --------------------------
-  {
-    auto fleet = StartFleet(2, /*workers=*/1, "restart");
-    const std::size_t stream_len = smoke ? 24 : 48;
-    std::vector<std::string> statuses;
-    std::thread streamer([&] {
-      ServiceClient client(fleet->address());
-      for (std::size_t i = 0; i < stream_len; ++i) {
-        ServiceRequest r;
-        r.method = ServiceMethod::kAnalyzeSpcf;
-        r.circuit_name = identity[i % identity.size()].circuit_name;
-        r.guard = 0.23 + 1e-4 * static_cast<double>(i);  // all cold
-        statuses.push_back(client.Call(r).status);
-      }
-    });
-    // Roll every shard while the stream runs: drain at the router, shut the
-    // shard down (its own drain answers accepted work), restart, restore.
-    fleet->RestartShard(0);
-    fleet->RestartShard(1);
-    streamer.join();
-    rep.restart_sent = stream_len;
-    for (const std::string& s : statuses) {
-      if (s == "ok") ++rep.restart_answered_ok;
-    }
-    // Zero dropped (every request answered — Call would have thrown on a
-    // lost response) and zero rejected: replay hides the rolling restart.
-    rep.restart_ok = statuses.size() == stream_len &&
-                     rep.restart_answered_ok == stream_len;
-    fleet->Shutdown();
-  }
-
-  // ---- Throughput scaling with shard count -------------------------------
-  {
-    const int clients = 8;
-    for (const int shards : {1, 2, 4}) {
-      auto fleet = StartFleet(shards, /*workers=*/2,
-                              "tp" + std::to_string(shards));
-      const double tput =
-          MeasureColdThroughput(fleet->address(), yield_set, clients);
-      if (shards == 1) rep.tput1 = tput;
-      if (shards == 2) rep.tput2 = tput;
-      if (shards == 4) rep.tput4 = tput;
-      fleet->Shutdown();
-    }
-    rep.scale2 = rep.tput1 > 0 ? rep.tput2 / rep.tput1 : 0;
-    rep.scale4 = rep.tput1 > 0 ? rep.tput4 / rep.tput1 : 0;
-    // Scaling needs real parallel hardware; identity/restart gates above
-    // hold regardless.
-    rep.scale2_gated = cores >= 4;
-    rep.scale4_gated = cores >= 8;
-    if (rep.scale2_gated) rep.scale2_ok = rep.scale2 >= 1.7;
-    if (rep.scale4_gated) rep.scale4_ok = rep.scale4 >= 3.0;
-  }
-
-  return rep;
-}
-
-Json ToJson(const FleetReport& r) {
-  Json obj = Json::MakeObject();
-  obj.Set("identity_ok", r.identity_ok);
-  obj.Set("restart_sent", r.restart_sent);
-  obj.Set("restart_answered_ok", r.restart_answered_ok);
-  obj.Set("restart_ok", r.restart_ok);
-  obj.Set("throughput_rps_1shard", r.tput1);
-  obj.Set("throughput_rps_2shard", r.tput2);
-  obj.Set("throughput_rps_4shard", r.tput4);
-  obj.Set("scale_2shard", r.scale2);
-  obj.Set("scale_4shard", r.scale4);
-  obj.Set("scale_2shard_gated", r.scale2_gated);
-  obj.Set("scale_4shard_gated", r.scale4_gated);
-  obj.Set("scale_2shard_ok", r.scale2_ok);
-  obj.Set("scale_4shard_ok", r.scale4_ok);
-  obj.Set("hardware_concurrency",
-          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  return obj;
-}
-
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseBenchArgs(argc, argv);
   const int clients = opts.threads == 1 ? 8 : opts.threads;
@@ -422,16 +239,8 @@ int Main(int argc, char** argv) {
   Json overload_report = Json::MakeObject();
   const bool overload_ok = RunOverloadProbe(opts.smoke, &overload_report);
 
-  // ---- Phase 5: sharded fleet --------------------------------------------
-  const FleetReport fleet = RunFleetPhase(opts.smoke);
+  const bool all_ok = speedup_ok && identity_ok && shutdown_ok && overload_ok;
 
-  const bool all_ok = speedup_ok && identity_ok && shutdown_ok &&
-                      overload_ok && fleet.identity_ok && fleet.restart_ok &&
-                      fleet.scale2_ok && fleet.scale4_ok;
-
-  const auto scale_verdict = [](bool gated, bool ok) {
-    return gated ? (ok ? "PASS" : "FAIL") : "WAIVED (too few cores)";
-  };
   std::cout << "service_load: " << requests.size() << " unique requests, "
             << clients << " concurrent clients\n"
             << "warm-cache speedup >= 10x : "
@@ -441,19 +250,7 @@ int Main(int argc, char** argv) {
             << "graceful shutdown         : "
             << (shutdown_ok ? "PASS" : "FAIL") << "\n"
             << "overload backpressure     : "
-            << (overload_ok ? "PASS" : "FAIL") << "\n"
-            << "fleet byte-identity 1/2/4 shards : "
-            << (fleet.identity_ok ? "PASS" : "FAIL") << "\n"
-            << "fleet rolling-restart zero-drop  : "
-            << (fleet.restart_ok ? "PASS" : "FAIL") << "\n"
-            << "fleet 2-shard scaling >= 1.7x    : "
-            << scale_verdict(fleet.scale2_gated, fleet.scale2_ok) << "\n"
-            << "fleet 4-shard scaling >= 3.0x    : "
-            << scale_verdict(fleet.scale4_gated, fleet.scale4_ok) << "\n";
-
-  std::cerr << "fleet throughput: " << fleet.tput1 << " / " << fleet.tput2
-            << " / " << fleet.tput4 << " req/s at 1/2/4 shards (scale "
-            << fleet.scale2 << "x, " << fleet.scale4 << "x)\n";
+            << (overload_ok ? "PASS" : "FAIL") << "\n";
 
   std::cerr << "cold: p50 " << cold.p50_ms << " ms, p99 " << cold.p99_ms
             << " ms over " << cold.count << " requests\n"
@@ -475,7 +272,6 @@ int Main(int argc, char** argv) {
     doc.Set("identity_ok", identity_ok);
     doc.Set("shutdown_ok", shutdown_ok);
     doc.Set("overload", std::move(overload_report));
-    doc.Set("fleet", ToJson(fleet));
     doc.Set("server_stats", Json::Parse(stats_json));
     doc.Set("ok", all_ok);
     std::ofstream out(opts.json_path);

@@ -30,16 +30,6 @@
 //   speedmask_cli serve [--socket <path|host:port>] [--workers <n>]
 //       run the analysis daemon until a client sends `shutdown`. The
 //       address is a Unix socket path or host:port (":0" = free port).
-//   speedmask_cli route --shard <addr> [--shard <addr> ...]
-//                  [--socket <path|host:port>] [--vnodes <n>]
-//       run the fleet router in front of running shard daemons: requests
-//       are consistent-hashed by circuit onto the shards (--vnodes ring
-//       points per shard, 1-4096); `stats` answers an aggregated fleet
-//       document; `shutdown` drains every shard too.
-//   speedmask_cli fleet [--shards <n>] [--socket <path|host:port>]
-//                  [--workers <n>]
-//       run a whole sharded deployment in one process: N analysis shards
-//       (1-64) plus the router, until a client sends `shutdown`.
 //   speedmask_cli submit <circuit> [--socket <path|host:port>]
 //                  [--method spcf|flow|yield|inject|optimize]
 //                  [--guard <frac>] [--algo node|path|short]
@@ -58,7 +48,7 @@
 //       frame so a wedged daemon surfaces a typed FrameError, not a hang.
 //   speedmask_cli stats [--socket <path|host:port>]
 //   speedmask_cli shutdown [--socket <path|host:port>]
-//       query daemon/fleet counters / drain and stop the daemon or fleet.
+//       query daemon counters / drain and stop the daemon.
 //
 // <circuit> is either a name from `list` or a path to a BLIF file.
 #include <fstream>
@@ -68,8 +58,6 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet.h"
-#include "fleet/router.h"
 #include "harness/bench_runner.h"
 #include "harness/flow.h"
 #include "harness/inject.h"
@@ -106,14 +94,6 @@ std::optional<std::string> GetFlag(std::vector<std::string>& args,
     }
   }
   return std::nullopt;
-}
-
-// Repeatable flag: collects every occurrence of `name <value>` in order.
-std::vector<std::string> GetFlagList(std::vector<std::string>& args,
-                                     const std::string& name) {
-  std::vector<std::string> values;
-  while (auto value = GetFlag(args, name)) values.push_back(*value);
-  return values;
 }
 
 // Valueless switch: returns true if present (and removes it).
@@ -340,49 +320,6 @@ int CmdServe(std::vector<std::string> args) {
   return 0;
 }
 
-int CmdRoute(std::vector<std::string> args) {
-  RouterOptions options;
-  options.shards = GetFlagList(args, "--shard");
-  if (options.shards.empty()) {
-    std::cerr << "usage: speedmask_cli route --shard <addr> "
-                 "[--shard <addr> ...] [--socket <path|host:port>] "
-                 "[--vnodes <n>]\n";
-    return 2;
-  }
-  options.listen_address =
-      GetFlag(args, "--socket").value_or("/tmp/speedmask_router.sock");
-  options.vnodes_per_shard =
-      ParseVnodeCount(GetFlag(args, "--vnodes").value_or("64"));
-  FleetRouter router(std::move(options));
-  router.Start();
-  std::cerr << "speedmask router listening on " << router.address() << " ("
-            << router.num_shards() << " shards); send `speedmask_cli "
-            << "shutdown --socket " << router.address() << "` to stop\n";
-  router.Wait();
-  std::cerr << "router stopped\n";
-  return 0;
-}
-
-int CmdFleet(std::vector<std::string> args) {
-  FleetOptions options;
-  options.listen_address =
-      GetFlag(args, "--socket").value_or("/tmp/speedmask_fleet.sock");
-  options.num_shards =
-      ParseShardCount(GetFlag(args, "--shards").value_or("2"));
-  options.shard_options.num_workers =
-      std::stoi(GetFlag(args, "--workers")
-                    .value_or(std::to_string(
-                        options.shard_options.num_workers)));
-  SpeedmaskFleet fleet(std::move(options));
-  fleet.Start();
-  std::cerr << "speedmask fleet listening on " << fleet.address() << " ("
-            << fleet.num_shards() << " shards); send `speedmask_cli "
-            << "shutdown --socket " << fleet.address() << "` to stop\n";
-  fleet.Wait();
-  std::cerr << "fleet stopped\n";
-  return 0;
-}
-
 int CmdOptimize(std::vector<std::string> args) {
   if (args.empty()) {
     std::cerr << "usage: speedmask_cli optimize <circuit> "
@@ -553,8 +490,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
     std::cerr << "usage: speedmask_cli "
-                 "<list|gen|spcf|flow|inject|optimize|serve|route|fleet|"
-                 "submit|stats|shutdown> ...\n";
+                 "<list|gen|spcf|flow|inject|optimize|serve|submit|stats|"
+                 "shutdown> ...\n";
     return 2;
   }
   const std::string cmd = args[0];
@@ -567,8 +504,6 @@ int main(int argc, char** argv) {
     if (cmd == "inject") return CmdInject(std::move(args));
     if (cmd == "optimize") return CmdOptimize(std::move(args));
     if (cmd == "serve") return CmdServe(std::move(args));
-    if (cmd == "route") return CmdRoute(std::move(args));
-    if (cmd == "fleet") return CmdFleet(std::move(args));
     if (cmd == "submit") return CmdSubmit(std::move(args));
     if (cmd == "stats") return CmdStats(std::move(args));
     if (cmd == "shutdown") return CmdShutdown(std::move(args));

@@ -1,7 +1,7 @@
 // Service endpoint addressing: one string names either a Unix-domain
 // socket path or a TCP host:port, so every tool that takes an address
 // (`ServiceClient`, `speedmask_cli --socket`, `SpeedmaskServer`,
-// `FleetRouter`) speaks both transports through the same flag.
+// `ChaosProxy`) speaks both transports through the same flag.
 //
 // Grammar:
 //   <address> := <unix-path> | <host> ":" <port>

@@ -110,7 +110,7 @@ void ChaosProxy::AcceptLoop() {
     const int backend_fd =
         ConnectToAddress(ParseServiceAddress(options_.backend_address));
     if (backend_fd < 0) {
-      // Backend down (e.g. the soak harness killed the shard): refuse the
+      // Backend down (e.g. the soak harness killed the daemon): refuse the
       // bridge; the client sees its connection close, same as a dead daemon.
       ::close(fd);
       continue;

@@ -21,7 +21,7 @@
 //                 connections, latency spikes).
 //   truncate    — half of the encoded frame is written, then both sockets
 //                 are closed: the receiver observes a connection lost
-//                 mid-frame (the "shard died mid-response" case).
+//                 mid-frame (the "daemon died mid-response" case).
 //   corrupt     — one seeded byte of the encoded frame is bit-flipped, then
 //                 the frame is forwarded: the receiver sees a bad magic, a
 //                 bogus length, or garbage JSON, all of which must surface
@@ -32,8 +32,8 @@
 //                 must stay detectable for the soak's byte-identity gate.
 //   disconnect  — both sockets are closed without forwarding anything.
 //
-// Shard kill/restart is *not* a proxy fault: the soak harness owns the
-// backend daemons and stops/restarts them directly; the proxy just observes
+// Daemon kill/restart is *not* a proxy fault: the soak harness owns the
+// backend daemon and stops/restarts it directly; the proxy just observes
 // the resulting transport failures and passes them through.
 #pragma once
 

@@ -64,16 +64,12 @@ ServiceClient::~ServiceClient() {
 
 ServiceResponse ServiceClient::Call(ServiceRequest request) {
   if (request.id == 0) request.id = next_id_++;
-  return ParseResponse(Exchange(SerializeRequest(request)));
-}
-
-std::string ServiceClient::Exchange(const std::string& payload) {
-  WriteFrame(fd_, payload);
-  std::optional<std::string> response = ReadFrame(fd_);
+  WriteFrame(fd_, SerializeRequest(request));
+  const std::optional<std::string> response = ReadFrame(fd_);
   if (!response.has_value()) {
     throw FrameError("daemon closed the connection without answering");
   }
-  return *std::move(response);
+  return ParseResponse(*response);
 }
 
 ServiceResponse ServiceClient::CallWithRetry(ServiceRequest request,

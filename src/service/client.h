@@ -61,15 +61,9 @@ class ServiceClient {
 
   // Sends `request` (assigning the next id when request.id == 0) and blocks
   // for the response. Throws FrameError/ParseError on transport or protocol
-  // corruption; service-level failures come back as response.status.
+  // corruption (FrameError too when the daemon closes without answering);
+  // service-level failures come back as response.status.
   ServiceResponse Call(ServiceRequest request);
-
-  // Raw-bytes round trip: sends `payload` verbatim as one frame and returns
-  // the next response frame's payload verbatim. The fleet router forwards
-  // requests with this so a shard's response bytes reach the client
-  // untouched (the byte-identity contract survives the extra hop). Throws
-  // FrameError when the peer closes without answering.
-  std::string Exchange(const std::string& payload);
 
   // Like Call, but re-sends while the daemon answers "overloaded", sleeping
   // RetryBackoffMs between attempts (the request id is assigned once, so

@@ -21,6 +21,16 @@
 
 namespace sm {
 
+namespace {
+
+// A failed response: status and code both derived from `code`.
+ServiceResponse Failure(std::uint64_t id, ErrorCode code, std::string error) {
+  return ServiceResponse{id, StatusFor(code), "", std::move(error),
+                         ToString(code)};
+}
+
+}  // namespace
+
 // One accepted client connection. The reader thread and any worker finishing
 // a job for this client share the fd; write_mutex serializes whole frames.
 struct SpeedmaskServer::Connection {
@@ -228,9 +238,7 @@ void SpeedmaskServer::HandleConnection(std::shared_ptr<Connection> conn) {
       // Garbage or oversized framing: the byte stream cannot be resynced.
       // Best-effort error reply, then drop the connection.
       try {
-        SendResponse(conn, ServiceResponse{0, "error", "",
-                                           e.what(),
-                                           ToString(ErrorCode::kInvalidRequest)});
+        SendResponse(conn, Failure(0, ErrorCode::kInvalidRequest, e.what()));
       } catch (...) {
       }
       break;
@@ -246,8 +254,8 @@ void SpeedmaskServer::HandleConnection(std::shared_ptr<Connection> conn) {
   // The client is gone (EOF, garbage framing, or a failed reply write):
   // nobody is waiting for this connection's in-flight analyses, so abort
   // them mid-kernel rather than compute into a dead socket. A server stop
-  // returns above instead — drained work must complete for the fleet's
-  // zero-drop restart contract.
+  // returns above instead — drained work must complete, so a graceful
+  // shutdown answers every accepted request.
   conn->CancelInFlight();
 }
 
@@ -266,8 +274,7 @@ void SpeedmaskServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     request = ParseRequest(payload);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    SendResponse(conn, ServiceResponse{0, "error", "", e.what(),
-                                       ToString(ErrorCode::kInvalidRequest)});
+    SendResponse(conn, Failure(0, ErrorCode::kInvalidRequest, e.what()));
     return;
   }
   by_method_[static_cast<int>(request.method)].fetch_add(
@@ -286,13 +293,12 @@ void SpeedmaskServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  // A draining daemon answers "shutting_down", which the fleet router
-  // replays on another shard.
+  // A draining daemon answers "shutting_down" (code unavailable), which a
+  // client may retry once the daemon is back.
   const auto reject_draining = [&] {
     rejected_shutting_down_.fetch_add(1, std::memory_order_relaxed);
-    SendResponse(conn, ServiceResponse{request.id, "shutting_down", "",
-                                       "daemon is draining",
-                                       ToString(ErrorCode::kUnavailable)});
+    SendResponse(conn, Failure(request.id, ErrorCode::kUnavailable,
+                               "daemon is draining"));
   };
   if (draining_.load()) {
     reject_draining();
@@ -308,8 +314,8 @@ void SpeedmaskServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     key = RequestCacheKey(request, circuit);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    SendResponse(conn, ServiceResponse{request.id, "error", "", e.what(),
-                                       ToString(ErrorCode::kInvalidCircuit)});
+    SendResponse(conn,
+                 Failure(request.id, ErrorCode::kInvalidCircuit, e.what()));
     return;
   }
   if (std::optional<std::string> hit = cache_.Get(key)) {
@@ -330,12 +336,10 @@ void SpeedmaskServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     }
     if (pending_ >= options_.queue_capacity) {
       overloaded_.fetch_add(1, std::memory_order_relaxed);
-      SendResponse(conn,
-                   ServiceResponse{request.id, "overloaded", "",
-                                   "queue full (" +
-                                       std::to_string(options_.queue_capacity) +
-                                       " outstanding requests)",
-                                   ToString(ErrorCode::kOverloaded)});
+      SendResponse(conn, Failure(request.id, ErrorCode::kOverloaded,
+                                 "queue full (" +
+                                     std::to_string(options_.queue_capacity) +
+                                     " outstanding requests)"));
       return;
     }
     ++pending_;
@@ -357,10 +361,9 @@ void SpeedmaskServer::RunAnalysis(std::shared_ptr<Connection> conn,
   ServiceResponse response{request.id, "", "", "", ""};
   if (deadline_ms > 0 && received.Millis() > deadline_ms) {
     timeouts_.fetch_add(1, std::memory_order_relaxed);
-    response.status = "timeout";
-    response.error = "deadline of " + JsonNumberToString(deadline_ms) +
-                     " ms expired in queue";
-    response.code = ToString(ErrorCode::kDeadlineExceeded);
+    response = Failure(request.id, ErrorCode::kDeadlineExceeded,
+                       "deadline of " + JsonNumberToString(deadline_ms) +
+                           " ms expired in queue");
   } else {
     // The request's cancel token: armed with whatever remains of the
     // deadline after the queue wait, the request's work budget, and wired
@@ -391,27 +394,17 @@ void SpeedmaskServer::RunAnalysis(std::shared_ptr<Connection> conn,
       response.status = "ok";
     } catch (const CancelledError& e) {
       // Mid-flight abort: typed reply, then sweep the warm manager back to
-      // a clean reusable state — the shard survives and stays warm.
+      // a clean reusable state — the daemon survives and stays warm.
       ctx->RecoverManager(num_vars);
       cancelled_.fetch_add(1, std::memory_order_relaxed);
-      response.code = ToString(e.code());
-      response.error = e.what();
-      if (e.code() == ErrorCode::kDeadlineExceeded) {
-        response.status = "timeout";
-      } else {
-        response.status = "error";
-      }
+      response = Failure(request.id, e.code(), e.what());
     } catch (const BddOverflowError& e) {
       // The manager hit its node limit; drop it so the next request for
       // this width starts from a clean table instead of a full one.
       ctx->DropManager(num_vars);
-      response.status = "error";
-      response.error = e.what();
-      response.code = ToString(ErrorCode::kResourceExhausted);
+      response = Failure(request.id, ErrorCode::kResourceExhausted, e.what());
     } catch (const std::exception& e) {
-      response.status = "error";
-      response.error = e.what();
-      response.code = ToString(ErrorCode::kInternal);
+      response = Failure(request.id, ErrorCode::kInternal, e.what());
     }
     ctx->Publish();
     ReleaseWorker(ctx);
@@ -425,11 +418,9 @@ void SpeedmaskServer::RunAnalysis(std::shared_ptr<Connection> conn,
         // hand back a result the client has long stopped waiting for.
         deadline_after_compute_.fetch_add(1, std::memory_order_relaxed);
         timeouts_.fetch_add(1, std::memory_order_relaxed);
-        response.status = "timeout";
-        response.result_json.clear();
-        response.error = "deadline of " + JsonNumberToString(deadline_ms) +
-                         " ms expired during compute";
-        response.code = ToString(ErrorCode::kDeadlineExceeded);
+        response = Failure(request.id, ErrorCode::kDeadlineExceeded,
+                           "deadline of " + JsonNumberToString(deadline_ms) +
+                               " ms expired during compute");
       } else {
         ok_.fetch_add(1, std::memory_order_relaxed);
       }

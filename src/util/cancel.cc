@@ -45,6 +45,26 @@ bool IsRetryableError(ErrorCode code) {
   return code == ErrorCode::kOverloaded || code == ErrorCode::kUnavailable;
 }
 
+const char* StatusFor(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kOk:
+      return "ok";
+    case ErrorCode::kDeadlineExceeded:
+      return "timeout";
+    case ErrorCode::kOverloaded:
+      return "overloaded";
+    case ErrorCode::kUnavailable:
+      return "shutting_down";
+    case ErrorCode::kCancelled:
+    case ErrorCode::kResourceExhausted:
+    case ErrorCode::kInvalidCircuit:
+    case ErrorCode::kInvalidRequest:
+    case ErrorCode::kInternal:
+      return "error";
+  }
+  return "error";
+}
+
 void CancelToken::SetDeadlineAfterMs(double ms) {
   deadline_ = std::chrono::steady_clock::now() +
               std::chrono::duration_cast<std::chrono::steady_clock::duration>(

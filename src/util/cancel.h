@@ -38,7 +38,7 @@ enum class ErrorCode {
   kInvalidCircuit,     // unknown circuit name or unparseable BLIF
   kInvalidRequest,     // malformed request json / fields
   kOverloaded,         // admission queue full (retryable)
-  kUnavailable,        // daemon draining / no shard reachable (retryable)
+  kUnavailable,        // daemon draining (retryable)
   kInternal,           // anything else
 };
 
@@ -52,6 +52,13 @@ ErrorCode ErrorCodeFromString(const std::string& name);
 // failures (invalid circuit/request, resource exhaustion) are not, and
 // deadline/cancel outcomes are the caller's own decision.
 bool IsRetryableError(ErrorCode code);
+
+// The response status that goes with `code` on the wire: "timeout" for
+// kDeadlineExceeded, "overloaded" for kOverloaded, "shutting_down" for
+// kUnavailable (a draining daemon), "ok" for kOk and "error" for every
+// other code. The daemon derives every failure status from its code here,
+// so the two fields of a response never disagree.
+const char* StatusFor(ErrorCode code);
 
 // Thrown by CancelToken::Check() — and by kernels polling a token — when
 // the computation must stop. code() says why in canonical terms.

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,19 +98,34 @@ TEST(CancelToken, ExplicitCancelOutranksDeadlineAndBudget) {
 }
 
 TEST(ErrorTaxonomy, StringRoundTripAndRetryability) {
-  const ErrorCode codes[] = {
-      ErrorCode::kCancelled,       ErrorCode::kDeadlineExceeded,
-      ErrorCode::kResourceExhausted, ErrorCode::kInvalidCircuit,
-      ErrorCode::kInvalidRequest,  ErrorCode::kOverloaded,
-      ErrorCode::kUnavailable,     ErrorCode::kInternal};
-  for (const ErrorCode code : codes) {
-    EXPECT_EQ(ErrorCodeFromString(ToString(code)), code);
+  // One row per code: its wire name, the response status the daemon pairs
+  // it with, and whether a client may blindly resubmit.
+  struct Row {
+    ErrorCode code;
+    const char* name;
+    const char* status;
+    bool retryable;
+  };
+  constexpr Row kRows[] = {
+      {ErrorCode::kOk, "", "ok", false},
+      {ErrorCode::kCancelled, "cancelled", "error", false},
+      {ErrorCode::kDeadlineExceeded, "deadline_exceeded", "timeout", false},
+      {ErrorCode::kResourceExhausted, "resource_exhausted", "error", false},
+      {ErrorCode::kInvalidCircuit, "invalid_circuit", "error", false},
+      {ErrorCode::kInvalidRequest, "invalid_request", "error", false},
+      {ErrorCode::kOverloaded, "overloaded", "overloaded", true},
+      {ErrorCode::kUnavailable, "unavailable", "shutting_down", true},
+      {ErrorCode::kInternal, "internal", "error", false},
+  };
+  static_assert(std::size(kRows) ==
+                    static_cast<std::size_t>(ErrorCode::kInternal) + 1,
+                "one row per ErrorCode");
+  for (const Row& row : kRows) {
+    EXPECT_STREQ(ToString(row.code), row.name);
+    EXPECT_EQ(ErrorCodeFromString(row.name), row.code) << row.name;
+    EXPECT_STREQ(StatusFor(row.code), row.status) << row.name;
+    EXPECT_EQ(IsRetryableError(row.code), row.retryable) << row.name;
   }
-  EXPECT_TRUE(IsRetryableError(ErrorCode::kOverloaded));
-  EXPECT_TRUE(IsRetryableError(ErrorCode::kUnavailable));
-  EXPECT_FALSE(IsRetryableError(ErrorCode::kDeadlineExceeded));
-  EXPECT_FALSE(IsRetryableError(ErrorCode::kCancelled));
-  EXPECT_FALSE(IsRetryableError(ErrorCode::kInvalidCircuit));
   EXPECT_THROW(ErrorCodeFromString("no_such_code"), std::invalid_argument);
 }
 

@@ -577,6 +577,82 @@ TEST(Service, OverloadAndGracefulDrain) {
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
+// Graceful shutdown under live load: several clients stream cold requests
+// while Shutdown() drains the daemon. Every request gets exactly one
+// response — "ok" if it was admitted before the drain, "shutting_down"
+// after — and never "overloaded"; the read timeout turns a lost or withheld
+// answer into a test failure instead of a hang.
+TEST(Service, ShutdownUnderLiveStreamAnswersEveryRequestOnce) {
+  ServerOptions options;
+  options.listen_address = TestSocket("live");
+  options.num_workers = 2;
+  SpeedmaskServer server(options);
+  server.Start();
+
+  constexpr int kClients = 4;
+  constexpr int kMaxRequests = 2000;  // per client; ends with the drain
+  const char* const circuits[] = {"i1", "cmb", "x2"};
+  std::vector<std::atomic<int>> answered(kClients);
+  std::vector<std::atomic<bool>> finished(kClients);
+  std::vector<std::vector<std::string>> statuses(kClients);
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> streams;
+  for (int c = 0; c < kClients; ++c) {
+    streams.emplace_back([&, c] {
+      try {
+        ServiceClient client(options.listen_address,
+                             ClientOptions{/*read_timeout_ms=*/10'000});
+        for (int i = 0; i < kMaxRequests; ++i) {
+          ServiceRequest r;
+          r.id = static_cast<std::uint64_t>(i + 1);
+          r.method = ServiceMethod::kAnalyzeSpcf;
+          r.circuit_name = circuits[i % 3];
+          r.guard = 0.1 + 1e-5 * (c * kMaxRequests + i);  // all cold
+          const ServiceResponse response = client.Call(r);
+          if (response.id != r.id) {
+            failures[c] = "response id " + std::to_string(response.id) +
+                          " for request " + std::to_string(r.id);
+            break;
+          }
+          statuses[c].push_back(response.status);
+          answered[c].fetch_add(1);
+          if (response.status != "ok") break;
+        }
+      } catch (const std::exception& e) {
+        failures[c] = e.what();
+      }
+      finished[c].store(true);
+    });
+  }
+  // Drain once every stream is connected and under way.
+  for (int c = 0; c < kClients; ++c) {
+    while (answered[c].load() < 3 && !finished[c].load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  server.Shutdown();
+  for (std::thread& t : streams) t.join();
+  server.Wait();
+
+  std::size_t ok = 0;
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], "") << "client " << c;
+    ASSERT_FALSE(statuses[c].empty()) << "client " << c;
+    // The stream ran into the drain: its last answer is the refusal and
+    // every answer before it is a computed result.
+    EXPECT_EQ(statuses[c].back(), "shutting_down") << "client " << c;
+    for (std::size_t i = 0; i + 1 < statuses[c].size(); ++i) {
+      EXPECT_EQ(statuses[c][i], "ok") << "client " << c << " request " << i;
+    }
+    ok += statuses[c].size() - 1;
+  }
+  const ServiceStatsSnapshot stats = server.SnapshotStats();
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_EQ(stats.ok, ok);
+  EXPECT_EQ(stats.rejected_shutting_down, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
 TEST(Service, WarmManagerSurvivesGcInsteadOfReset) {
   // Force the memory-manager-v2 path on every request: with the threshold at
   // one node, any manager that has served a request is over it, so the next
